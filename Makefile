@@ -19,11 +19,13 @@ check: vet race train-equivalence resume-equivalence campaign-equivalence chaos-
 
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (presorted vs reference builder must
-# emit bit-identical trees) and the forest fit path with DisableBagging
-# on and off, all under the race detector so the per-worker workspace
+# emit bit-identical trees), the rank counting sort against the
+# (value, position) comparison sort it replaced, every Fit and Update
+# slot against the reference builder on its materialised bootstrap, and
+# the forest fit path with DisableBagging on and off, all under the race detector so the per-worker workspace
 # reuse is exercised concurrently.
 train-equivalence:
-	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestForestFitBaggingModes|TestOOBParallel' ./internal/tree ./internal/forest
+	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestForestFitBaggingModes|TestOOBParallel|TestRankPresortMatchesComparisonSort|TestForestBootstrapMatchesReference' ./internal/tree ./internal/forest
 
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to
@@ -139,8 +141,12 @@ fleet-failover:
 	go test -race -run 'TestFleetd' ./cmd/fleetd
 	go test -race -run 'TestServerChaosClientFaults' ./internal/server
 
+# vet is static analysis plus a formatting gate: any Go file gofmt would
+# rewrite fails the target and is listed.
 vet:
 	go vet ./...
+	@unformatted=$$(gofmt -l *.go altune cmd examples internal perfbench); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	go test ./...
@@ -153,7 +159,9 @@ bench:
 	go test -bench=. -benchmem -run xxx ./...
 
 # Training-engine benchmarks only: paper-scale tree/forest fits on the
-# presorted engine vs the retained reference builder.
+# presorted engine vs the retained reference builder, plus
+# BenchmarkForestFitCampaign (next to BenchmarkForestFit), the forest
+# refit sweep at the campaign's shape (atax, 32 trees, n = 10..160).
 bench-train:
 	go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
 

@@ -722,6 +722,37 @@ func BenchmarkForestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkForestFitCampaign measures the refit sweep of one Algorithm 1
+// run at the campaign-fit shape (experiment.Quick on atax): a 32-tree
+// forest, one worker, refitted on the first n labels for n = 10, 15,
+// ..., 160 — the 31 refits one strategy repetition performs. At these
+// small n the per-tree setup (bootstrap draw and column presort) is a
+// large share of each fit, unlike BenchmarkForestFit's n = 3000.
+func BenchmarkForestFitCampaign(b *testing.B) {
+	p, err := bench.ByName("atax")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := p.Space()
+	r := rng.New(93)
+	ev := bench.Evaluator(p, r.Split())
+	train := sp.SampleConfigs(r.Split(), 160)
+	X := sp.EncodeAll(train)
+	y := make([]float64, len(train))
+	for i, c := range train {
+		y[i] = mustEval(b, ev, c)
+	}
+	cfg := forest.Config{NumTrees: 32, Workers: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n := 10; n <= len(X); n += 5 {
+			if _, err := forest.Fit(X[:n], y[:n], sp.Features(), cfg, rng.New(uint64(n))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ---- helpers ----
 
 func median(xs []float64) float64 {

@@ -126,6 +126,14 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 
 	treeCfg := cfg.Tree
 
+	// Every tree fits a bootstrap of the same matrix, so each numeric
+	// column is ranked once here and each tree counting-sorts its own
+	// picks by those ranks instead of comparison-sorting its columns.
+	ranks, err := tree.RankColumns(X, features)
+	if err != nil {
+		return nil, err
+	}
+
 	b := cfg.numTrees()
 	n := len(X)
 	trees := make([]*tree.Regressor, b)
@@ -133,12 +141,21 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 	inBag := make([][]bool, b) // inBag[t][i]: sample i used by tree t
 	errs := make([]error, b)
 
+	// With bagging disabled every tree fits the identity bootstrap.
+	var identity []int32
+	if cfg.DisableBagging {
+		identity = make([]int32, n)
+		for i := range identity {
+			identity[i] = int32(i)
+		}
+	}
+
 	// One goroutine per worker slot, each fitting a strided subset of the
 	// ensemble with slot-local scratch: a tree.Workspace (the presorted
-	// engine's reusable buffers) and one bootstrap pair (bx, by) reused
-	// across all of the slot's trees instead of allocated per tree.
-	// Per-tree RNG streams come from r.Child(t), so the fitted forest is
-	// independent of worker count and scheduling.
+	// engine's reusable buffers) and one picks buffer reused across all
+	// of the slot's trees instead of allocated per tree. Per-tree RNG
+	// streams come from r.Child(t), so the fitted forest is independent
+	// of worker count and scheduling.
 	workers := cfg.workers()
 	if workers > b {
 		workers = b
@@ -149,26 +166,22 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 		go func(w int) {
 			defer wg.Done()
 			ws := tree.NewWorkspace()
-			var bx [][]float64
-			var by []float64
+			picks := identity
 			if !cfg.DisableBagging {
-				bx = make([][]float64, n)
-				by = make([]float64, n)
+				picks = make([]int32, n)
 			}
 			for t := w; t < b; t += workers {
 				tr := r.Child(uint64(t))
-				if cfg.DisableBagging {
-					trees[t], errs[t] = tree.FitWorkspace(X, y, features, treeCfg, tr, ws)
-				} else {
+				if !cfg.DisableBagging {
 					bag := make([]bool, n)
-					for i := 0; i < n; i++ {
+					for i := range picks {
 						j := tr.Intn(n)
-						bx[i], by[i] = X[j], y[j]
+						picks[i] = int32(j)
 						bag[j] = true
 					}
 					inBag[t] = bag
-					trees[t], errs[t] = tree.FitWorkspace(bx, by, features, treeCfg, tr, ws)
 				}
+				trees[t], errs[t] = tree.FitBootstrap(ranks, X, y, picks, treeCfg, tr, ws)
 				if errs[t] == nil {
 					compiled[t] = trees[t].Compile()
 				}

@@ -481,3 +481,87 @@ func BenchmarkPredictBatch7000Reference(b *testing.B) {
 		f.PredictBatchReference(pool)
 	}
 }
+
+// treeJSON is a fitted tree's serialized form; equal bytes mean equal
+// structure, thresholds and leaf statistics (floats encode losslessly).
+func treeJSON(t *testing.T, tr *tree.Regressor) string {
+	t.Helper()
+	b, err := tr.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestForestBootstrapMatchesReference pins the forest's rank-once,
+// counting-sort-per-tree fit to the retained reference builder: every
+// tree of Fit (bagging on and off) and every slot Update refreshes must
+// equal tree.FitReference run on that tree's materialised bootstrap,
+// replayed from the same Child(slot) stream.
+func TestForestBootstrapMatchesReference(t *testing.T) {
+	r := rng.New(60)
+	fs := append(numFeatures(4), space.Feature{Name: "c", Kind: space.FeatCategorical, NumCategories: 4})
+	mk := func(n int) ([][]float64, []float64) {
+		X := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range X {
+			X[i] = []float64{float64(r.Intn(4)), float64(r.Intn(9)) / 8, r.Float64(), math.Copysign(0, float64(r.Intn(2))-0.5), float64(r.Intn(4))}
+			y[i] = X[i][0]*X[i][1] + 3*X[i][2] + float64(int(X[i][4])%2) + 0.1*r.Norm()
+		}
+		return X, y
+	}
+	X, y := mk(90)
+
+	// reference replays slot's bootstrap draws from child (unless
+	// identity) and fits the reference builder on the materialised rows.
+	reference := func(X [][]float64, y []float64, child *rng.RNG, cfg Config) *tree.Regressor {
+		n := len(X)
+		bx, by := X, y
+		if !cfg.DisableBagging {
+			bx, by = make([][]float64, n), make([]float64, n)
+			for i := range bx {
+				j := child.Intn(n)
+				bx[i], by[i] = X[j], y[j]
+			}
+		}
+		ref, err := tree.FitReference(bx, by, fs, cfg.Tree, child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+
+	for _, disable := range []bool{false, true} {
+		cfg := Config{NumTrees: 12, Workers: 3, DisableBagging: disable,
+			Tree: tree.Config{MaxFeatures: 3, MinSamplesLeaf: 2, KeepTargets: true}}
+		f, err := Fit(X, y, fs, cfg, rng.New(61))
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := rng.New(61)
+		for slot, tr := range f.trees {
+			if treeJSON(t, tr) != treeJSON(t, reference(X, y, root.Child(uint64(slot)), cfg)) {
+				t.Fatalf("disable=%v: Fit tree %d differs from the reference builder", disable, slot)
+			}
+		}
+		if disable {
+			continue
+		}
+
+		// Two updates on grown data: slots 0..2, then 3..5.
+		X2, y2 := mk(40)
+		X2, y2 = append(append([][]float64{}, X...), X2...), append(append([]float64{}, y...), y2...)
+		for u, seed := range []uint64{62, 63} {
+			if err := f.Update(X2, y2, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			root := rng.New(seed)
+			k := cfg.NumTrees / 4
+			for slot := u * k; slot < (u+1)*k; slot++ {
+				if treeJSON(t, f.trees[slot]) != treeJSON(t, reference(X2, y2, root.Child(uint64(slot)), cfg)) {
+					t.Fatalf("Update %d: slot %d differs from the reference builder", u, slot)
+				}
+			}
+		}
+	}
+}

@@ -33,21 +33,25 @@ func (f *Forest) Update(X [][]float64, y []float64, r *rng.RNG) error {
 	if k < 1 {
 		k = 1
 	}
-	// One bootstrap pair and one presorted-engine workspace serve all k
-	// sequential refits of this update.
+	// The k sequential refits share one ranking of X (each numeric column
+	// sorted once for the whole update), one picks buffer and one
+	// presorted-engine workspace; each refit only draws its bootstrap
+	// picks and counting-sorts them by rank.
+	ranks, err := tree.RankColumns(X, f.features)
+	if err != nil {
+		return fmt.Errorf("forest: Update: %w", err)
+	}
 	n := len(X)
-	bx := make([][]float64, n)
-	by := make([]float64, n)
+	picks := make([]int32, n)
 	ws := tree.NewWorkspace()
 	for i := 0; i < k; i++ {
 		slot := f.nextRefresh % len(f.trees)
 		f.nextRefresh++
 		tr := r.Child(uint64(slot))
-		for j := 0; j < n; j++ {
-			pick := tr.Intn(n)
-			bx[j], by[j] = X[pick], y[pick]
+		for j := range picks {
+			picks[j] = int32(tr.Intn(n))
 		}
-		nt, err := tree.FitWorkspace(bx, by, f.features, treeCfg, tr, ws)
+		nt, err := tree.FitBootstrap(ranks, X, y, picks, treeCfg, tr, ws)
 		if err != nil {
 			return fmt.Errorf("forest: Update refit slot %d: %w", slot, err)
 		}

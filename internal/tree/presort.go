@@ -1,6 +1,9 @@
 package tree
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -11,11 +14,22 @@ import (
 // reference builder (reference.go) re-sorts every numeric candidate
 // column at every node — O(m log m) comparisons and a fresh index slice
 // per feature per node. Here each numeric column's sample order is
-// sorted ONCE per tree, by (value, sample position), and threaded down
+// built ONCE per tree, by (value, sample position), and threaded down
 // the recursion: at every split the node's segment of each column order
 // is stably partitioned with the left/right mask, so both children
 // inherit already-sorted segments and split search degenerates to a
 // single allocation-free linear scan.
+//
+// The per-tree order itself needs no comparison sort. Every tree of a
+// forest is fitted to a bootstrap of the same training matrix, so
+// RankColumns sorts each numeric column once per forest fit and records
+// dense value ranks (equal values share a rank). A tree's column order
+// is then a stable counting sort of its bootstrap positions by the rank
+// of the row each position picked: O(n + distinct values), no
+// comparator, and exactly the (value, position) order — ties share a
+// rank, and the stable pass keeps ascending position within a rank.
+// This needs a total order on feature values, which is why NaN is
+// rejected at validation.
 //
 // Bit-identity with the reference builder is a hard invariant, pinned by
 // presort_test.go. It holds because:
@@ -34,22 +48,109 @@ import (
 //     partial shuffle would be cheaper but cannot reproduce rng.Perm's
 //     output: perm[0] depends on every swap of the backward pass.
 
+// Ranks holds the dense per-column value ranks of one training matrix:
+// for numeric feature f, the rank of row i is the number of distinct
+// values of column f below X[i][f]. Equal values, -0 and +0 included,
+// share a rank. Categorical columns carry no ranks. A Ranks is read-only
+// after RankColumns returns and safe to share between concurrent fits.
+type Ranks struct {
+	features []space.Feature
+	n        int
+	cols     [][]int32 // cols[f][i]; nil for categorical f
+	distinct []int     // number of distinct values of numeric column f
+}
+
+// RankColumns validates the training matrix X against features and
+// ranks each numeric column: one sort per column, shared by every tree
+// fitted to a bootstrap of X through FitBootstrap.
+func RankColumns(X [][]float64, features []space.Feature) (*Ranks, error) {
+	if err := validateMatrix(X, features); err != nil {
+		return nil, err
+	}
+	n := len(X)
+	rk := &Ranks{
+		features: features, n: n,
+		cols: make([][]int32, len(features)), distinct: make([]int, len(features)),
+	}
+	ord := make([]int32, n)
+	for f, ft := range features {
+		if ft.Kind == space.FeatCategorical {
+			continue
+		}
+		for i := range ord {
+			ord[i] = int32(i)
+		}
+		slices.SortFunc(ord, func(a, c int32) int { return cmp.Compare(X[a][f], X[c][f]) })
+		col := make([]int32, n)
+		r := int32(0)
+		for k, i := range ord {
+			if k > 0 && X[i][f] != X[ord[k-1]][f] {
+				r++
+			}
+			col[i] = r
+		}
+		rk.cols[f] = col
+		rk.distinct[f] = int(r) + 1
+	}
+	return rk, nil
+}
+
 // FitWorkspace builds a regression tree on (X, y) with the presorted-
 // column engine, reusing ws across calls; ws may be nil, in which case a
 // throwaway workspace is allocated. See Fit for the argument contract.
+// It ranks X and fits the identity bootstrap.
 func FitWorkspace(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
-	mtry, err := validateFit(X, y, features, cfg, r)
+	rk, err := RankColumns(X, features)
 	if err != nil {
 		return nil, err
 	}
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	n := len(X)
-	ws.ensure(n, features)
+	return FitBootstrap(rk, X, y, ws.identity(len(X)), cfg, r, ws)
+}
 
+// FitBootstrap builds a regression tree on the bootstrap sample whose
+// position i is row picks[i] of (X, y) — the tree FitWorkspace would
+// build on the materialised rows X[picks[i]], y[picks[i]], bit for bit
+// and with the same RNG consumption. rk must be RankColumns(X, features)
+// for this X; picks may repeat rows and need not cover them. ws may be
+// nil, as for FitWorkspace.
+func FitBootstrap(rk *Ranks, X [][]float64, y []float64, picks []int32, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
+	if rk == nil {
+		return nil, fmt.Errorf("tree: nil ranks")
+	}
+	if len(X) != rk.n {
+		return nil, fmt.Errorf("tree: ranks cover %d rows but len(X)=%d", rk.n, len(X))
+	}
+	if len(X) != len(y) {
+		return nil, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(X), len(y))
+	}
+	if len(picks) == 0 {
+		return nil, fmt.Errorf("tree: empty training set")
+	}
+	for i, p := range picks {
+		if p < 0 || int(p) >= rk.n {
+			return nil, fmt.Errorf("tree: pick %d is row %d, want [0, %d)", i, p, rk.n)
+		}
+	}
+	features := rk.features
+	mtry, err := resolveMtry(len(features), cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	n := len(picks)
+	ws.ensure(n, rk.n, features)
+
+	bx, by := ws.bx[:n], ws.by[:n]
+	for i, p := range picks {
+		bx[i], by[i] = X[p], y[p]
+	}
 	b := &psBuilder{
-		X: X, y: y, features: features, cfg: cfg, mtry: mtry, r: r, ws: ws,
+		X: bx, y: by, features: features, cfg: cfg, mtry: mtry, r: r, ws: ws,
 		minLeaf: cfg.minLeaf(), minSplit: cfg.minSplit(),
 		idx: ws.idx[:n], mask: ws.mask[:n],
 		scratchIdx: ws.scratchIdx[:n], scratchVals: ws.scratchVals[:n],
@@ -57,7 +158,7 @@ func FitWorkspace(X [][]float64, y []float64, features []space.Feature, cfg Conf
 	for i := range b.idx {
 		b.idx[i] = int32(i)
 	}
-	b.presort()
+	b.presort(rk, picks)
 	root := b.build(0, n, 0)
 	return &Regressor{features: features, root: root, cfg: cfg}, nil
 }
@@ -100,32 +201,45 @@ type psSplit struct {
 	isCat     bool
 }
 
-// presort fills each numeric column's order with 0..n-1 sorted by
-// (value, position) and caches the sorted values alongside. This is the
-// only sort of the whole fit.
-func (b *psBuilder) presort() {
-	n := len(b.X)
+// presort fills each numeric column's order with the bootstrap
+// positions 0..n-1 sorted by (value, position) — a counting sort by the
+// forest-wide ranks, no comparisons — and caches the sorted values
+// alongside.
+func (b *psBuilder) presort(rk *Ranks, picks []int32) {
+	n := len(picks)
 	X := b.X
 	for f, ft := range b.features {
 		if ft.Kind == space.FeatCategorical {
 			continue
 		}
 		ord := b.ws.ords[f][:n]
-		for i := range ord {
-			ord[i] = int32(i)
-		}
-		sort.Slice(ord, func(a, c int) bool {
-			ia, ic := ord[a], ord[c]
-			va, vc := X[ia][f], X[ic][f]
-			if va != vc {
-				return va < vc
-			}
-			return ia < ic
-		})
+		countingOrder(ord, rk.cols[f], picks, b.ws.counts[:rk.distinct[f]])
 		vals := b.ws.vals[f][:n]
 		for k, i := range ord {
 			vals[k] = X[i][f]
 		}
+	}
+}
+
+// countingOrder writes into ord the positions 0..len(picks)-1 stably
+// counting-sorted by rank[picks[pos]]. Because equal values share a rank
+// and the placement pass walks positions in ascending order, ord is the
+// (value, position) order of the bootstrap column. counts must have one
+// entry per distinct rank; its contents are overwritten.
+func countingOrder(ord, rank, picks, counts []int32) {
+	clear(counts)
+	for _, p := range picks {
+		counts[rank[p]]++
+	}
+	var start int32
+	for r, c := range counts {
+		counts[r] = start
+		start += c
+	}
+	for pos, p := range picks {
+		r := rank[p]
+		ord[counts[r]] = int32(pos)
+		counts[r]++
 	}
 }
 

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -280,5 +281,207 @@ func TestPresortedMatchesExistingBehaviors(t *testing.T) {
 		if m1 != m2 || v1 != v2 || c1 != c2 {
 			t.Fatalf("prediction mismatch at probe %d", i)
 		}
+	}
+}
+
+// comparisonOrder is the presort the rank counting sort replaced: the
+// bootstrap positions of column col sorted with a (value, position)
+// comparator.
+func comparisonOrder(col []float64, picks []int32) []int32 {
+	ord := make([]int32, len(picks))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	sort.Slice(ord, func(a, c int) bool {
+		ia, ic := ord[a], ord[c]
+		va, vc := col[picks[ia]], col[picks[ic]]
+		if va != vc {
+			return va < vc
+		}
+		return ia < ic
+	})
+	return ord
+}
+
+// TestRankPresortMatchesComparisonSort pins the counting sort by
+// forest-wide ranks to the comparison presort it replaced: for every
+// column kind (heavy ties, mixed -0/+0, constant, all distinct) and
+// every bootstrap kind (random draws, one row picked n times, identity
+// picks as with DisableBagging), including n = 1, the orders must be
+// equal position for position, and FitBootstrap must build the tree
+// the reference builder builds on the materialised bootstrap, with the
+// same RNG consumption.
+func TestRankPresortMatchesComparisonSort(t *testing.T) {
+	r := rng.New(53)
+	negZero := math.Copysign(0, -1)
+	columns := []struct {
+		name string
+		gen  func() float64
+	}{
+		{"ties", func() float64 { return float64(r.Intn(3)) }},
+		{"signed-zero", func() float64 { return []float64{negZero, 0, -1, 1}[r.Intn(4)] }},
+		{"constant", func() float64 { return 2.5 }},
+		{"distinct", func() float64 { return r.Norm() }},
+		{"grid", func() float64 { return float64(r.Intn(12)-6) / 4 }},
+	}
+	fs := make([]space.Feature, len(columns)+1)
+	for f, c := range columns {
+		fs[f] = space.Feature{Name: c.name, Kind: space.FeatNumeric}
+	}
+	fs[len(columns)] = space.Feature{Name: "cat", Kind: space.FeatCategorical, NumCategories: 3}
+
+	ws := NewWorkspace()
+	for _, n := range []int{1, 2, 7, 60, 257} {
+		X := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range X {
+			row := make([]float64, len(fs))
+			for f, c := range columns {
+				row[f] = c.gen()
+			}
+			row[len(columns)] = float64(r.Intn(3))
+			X[i], y[i] = row, row[0]-2*row[3]+row[4]*row[5]+0.1*r.Norm()
+		}
+		rk, err := RankColumns(X, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rk.cols[len(columns)] != nil {
+			t.Fatalf("n=%d: categorical column was ranked", n)
+		}
+
+		bootstrap := make([]int32, n)
+		duplicate := make([]int32, n)
+		identity := make([]int32, n)
+		one := int32(r.Intn(n))
+		for i := range bootstrap {
+			bootstrap[i] = int32(r.Intn(n))
+			duplicate[i] = one
+			identity[i] = int32(i)
+		}
+		for _, pk := range []struct {
+			name  string
+			picks []int32
+		}{{"bootstrap", bootstrap}, {"duplicate", duplicate}, {"identity", identity}} {
+			for f, c := range columns {
+				col := make([]float64, n)
+				for i := range X {
+					col[i] = X[i][f]
+				}
+				want := comparisonOrder(col, pk.picks)
+				got := make([]int32, n)
+				countingOrder(got, rk.cols[f], pk.picks, make([]int32, rk.distinct[f]))
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("n=%d %s picks, %s column: order[%d]=%d, comparison sort has %d",
+							n, pk.name, c.name, k, got[k], want[k])
+					}
+				}
+			}
+
+			bx := make([][]float64, n)
+			by := make([]float64, n)
+			for i, p := range pk.picks {
+				bx[i], by[i] = X[p], y[p]
+			}
+			cfg := Config{MaxFeatures: 2, KeepTargets: n%2 == 1}
+			r1, r2 := rng.New(uint64(n)*7+1), rng.New(uint64(n)*7+1)
+			got, err := FitBootstrap(rk, X, y, pk.picks, cfg, r1, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := FitReference(bx, by, fs, cfg, r2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !nodesEqual(got.root, want.root) {
+				t.Fatalf("n=%d %s picks: FitBootstrap and FitReference built different trees", n, pk.name)
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatalf("n=%d %s picks: RNG streams diverged", n, pk.name)
+			}
+		}
+	}
+}
+
+// TestRankColumnsDenseRanks pins the rank contract the counting sort
+// relies on: ranks are dense (0..distinct-1 all used), equal values
+// share a rank with -0 equal to +0, and rank order is value order.
+func TestRankColumnsDenseRanks(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	col := []float64{3, negZero, 1, 0, 3, -2, 1}
+	want := []int32{3, 1, 2, 1, 3, 0, 2}
+	X := make([][]float64, len(col))
+	for i, v := range col {
+		X[i] = []float64{v}
+	}
+	rk, err := RankColumns(X, []space.Feature{{Name: "x", Kind: space.FeatNumeric}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rk.distinct[0] != 4 {
+		t.Fatalf("distinct = %d, want 4", rk.distinct[0])
+	}
+	for i := range want {
+		if rk.cols[0][i] != want[i] {
+			t.Fatalf("rank of row %d (%v) = %d, want %d", i, col[i], rk.cols[0][i], want[i])
+		}
+	}
+}
+
+// TestFitRejectsNaN pins NaN feature values as a validation error in
+// every entry point: NaN breaks the strict weak order a comparison sort
+// needs and has no rank, so no builder may accept it.
+func TestFitRejectsNaN(t *testing.T) {
+	fs := []space.Feature{
+		{Name: "x", Kind: space.FeatNumeric},
+		{Name: "c", Kind: space.FeatCategorical, NumCategories: 3},
+	}
+	y := []float64{1, 2, 3}
+	for col := range fs {
+		X := [][]float64{{0.5, 0}, {1.5, 1}, {2.5, 2}}
+		X[1][col] = math.NaN()
+		if _, err := Fit(X, y, fs, Config{}, nil); err == nil {
+			t.Fatalf("Fit accepted NaN in column %d", col)
+		}
+		if _, err := FitReference(X, y, fs, Config{}, nil); err == nil {
+			t.Fatalf("FitReference accepted NaN in column %d", col)
+		}
+		if _, err := RankColumns(X, fs); err == nil {
+			t.Fatalf("RankColumns accepted NaN in column %d", col)
+		}
+	}
+}
+
+// TestFitBootstrapValidation pins FitBootstrap's own argument checks.
+func TestFitBootstrapValidation(t *testing.T) {
+	fs := []space.Feature{{Name: "x", Kind: space.FeatNumeric}}
+	X := [][]float64{{1}, {2}, {3}}
+	y := []float64{1, 2, 3}
+	rk, err := RankColumns(X, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name  string
+		rk    *Ranks
+		X     [][]float64
+		y     []float64
+		picks []int32
+	}{
+		{"nil ranks", nil, X, y, []int32{0}},
+		{"ranks of another matrix", rk, X[:2], y[:2], []int32{0}},
+		{"short y", rk, X, y[:2], []int32{0}},
+		{"no picks", rk, X, y, nil},
+		{"pick out of range", rk, X, y, []int32{0, 3}},
+		{"negative pick", rk, X, y, []int32{-1}},
+	}
+	for _, c := range bad {
+		if _, err := FitBootstrap(c.rk, c.X, c.y, c.picks, Config{}, nil, nil); err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+	}
+	if _, err := FitBootstrap(rk, X, y, []int32{2, 2, 0}, Config{}, nil, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,11 +12,12 @@
 // of their training targets so that the forest can compute the
 // law-of-total-variance uncertainty of Hutter et al. 2014.
 //
-// Two builders produce these trees. Fit (and FitWorkspace) run the
-// presorted-column engine of presort.go: each numeric column's sample
-// order is sorted once per tree and stably partitioned down the
-// recursion, so split search is a single allocation-free linear scan per
-// node. FitReference runs the retained per-node-sorting builder of
+// Two builders produce these trees. Fit (and FitWorkspace, FitBootstrap)
+// run the presorted-column engine of presort.go: each numeric column is
+// ranked once per training matrix (RankColumns), each tree counting-sorts
+// its bootstrap positions by those ranks, and the orders are stably
+// partitioned down the recursion, so split search is a single
+// allocation-free linear scan per node. FitReference runs the retained per-node-sorting builder of
 // reference.go. The two are bit-identical — same splits, thresholds,
 // leaf statistics and RNG stream consumption — which presort_test.go
 // pins with a property test.
@@ -107,22 +108,45 @@ type Regressor struct {
 // validateFit checks the (X, y, features, cfg, r) combination shared by
 // every builder entry point and resolves the effective mtry.
 func validateFit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (mtry int, err error) {
-	if len(X) == 0 {
-		return 0, fmt.Errorf("tree: empty training set")
+	if err := validateMatrix(X, features); err != nil {
+		return 0, err
 	}
 	if len(X) != len(y) {
 		return 0, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(X), len(y))
 	}
+	return resolveMtry(len(features), cfg, r)
+}
+
+// validateMatrix checks that X is a non-empty matrix with one column per
+// feature and no NaN. NaN has no place in the (value, position) order
+// both builders split on: it compares false against everything, so a
+// comparison sort leaves it wherever the algorithm happened to, and
+// value ranks cannot express it at all.
+func validateMatrix(X [][]float64, features []space.Feature) error {
+	if len(X) == 0 {
+		return fmt.Errorf("tree: empty training set")
+	}
 	d := len(features)
 	if d == 0 {
-		return 0, fmt.Errorf("tree: no features")
+		return fmt.Errorf("tree: no features")
 	}
 	for i, row := range X {
 		if len(row) != d {
-			return 0, fmt.Errorf("tree: row %d has %d columns, want %d", i, len(row), d)
+			return fmt.Errorf("tree: row %d has %d columns, want %d", i, len(row), d)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) {
+				return fmt.Errorf("tree: row %d column %d is NaN", i, j)
+			}
 		}
 	}
-	mtry = cfg.MaxFeatures
+	return nil
+}
+
+// resolveMtry returns the effective per-node feature quota for d
+// features, which needs a generator whenever it is below d.
+func resolveMtry(d int, cfg Config, r *rng.RNG) (int, error) {
+	mtry := cfg.MaxFeatures
 	if mtry <= 0 || mtry > d {
 		mtry = d
 	}

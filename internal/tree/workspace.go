@@ -3,9 +3,9 @@ package tree
 import "repro/internal/space"
 
 // Workspace holds the reusable buffers of the presorted-column training
-// engine. One workspace serves any number of consecutive FitWorkspace
-// calls — the buffers are re-sliced to each fit's dimensions and fully
-// overwritten before use — so a forest worker that fits trees in a loop
+// engine. One workspace serves any number of consecutive FitBootstrap
+// (and FitWorkspace) calls — the buffers are re-sliced to each fit's
+// dimensions and fully overwritten before use — so a forest worker that fits trees in a loop
 // pays the allocation cost once instead of per tree (and, inside a tree,
 // instead of per node).
 //
@@ -15,14 +15,27 @@ import "repro/internal/space"
 // by newNode are owned by the tree that received them and are never
 // touched again by the workspace.
 type Workspace struct {
+	// bx/by are the bootstrap's rows and targets: bx[i] aliases row
+	// picks[i] of the parent matrix, by[i] copies its target.
+	bx [][]float64
+	by []float64
+
+	// ident holds 0, 1, 2, ...: the identity picks of FitWorkspace.
+	ident []int32
+
+	// counts is the counting-sort histogram, one entry per distinct rank
+	// of a column (at most one per parent row).
+	counts []int32
+
 	// idx is the per-node sample list, stably partitioned in place down
 	// the recursion; idx segments are always in ascending sample order.
 	idx []int32
 
-	// ords[f] holds, for numeric feature f, the sample positions sorted
-	// by (value, position); vals[f][k] caches X[ords[f][k]][f] so the
-	// split scan streams contiguous memory. Both are partitioned together
-	// at every split. Entries of categorical features are unused.
+	// ords[f] holds, for numeric feature f, the bootstrap positions
+	// sorted by (value, position), counting-sorted by rank (presort.go);
+	// vals[f][k] caches bx[ords[f][k]][f] so the split scan streams
+	// contiguous memory. Both are partitioned together at every split.
+	// Entries of categorical features are unused.
 	ords [][]int32
 	vals [][]float64
 
@@ -56,10 +69,16 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the buffers for a fit of n samples over the given
+// ensure sizes the buffers for a fit of n bootstrap samples drawn from
+// a parent matrix with the given number of rows over the given
 // features, growing (never shrinking) capacities as needed.
-func (w *Workspace) ensure(n int, features []space.Feature) {
+func (w *Workspace) ensure(n, rows int, features []space.Feature) {
+	if cap(w.counts) < rows {
+		w.counts = make([]int32, rows)
+	}
 	if cap(w.idx) < n {
+		w.bx = make([][]float64, n)
+		w.by = make([]float64, n)
 		w.idx = make([]int32, n)
 		w.scratchIdx = make([]int32, n)
 		w.scratchVals = make([]float64, n)
@@ -95,6 +114,17 @@ func (w *Workspace) ensure(n int, features []space.Feature) {
 		w.present = make([]catStat, 0, maxCat)
 		w.bestCats = make([]int32, 0, maxCat)
 	}
+}
+
+// identity returns the picks 0..n-1.
+func (w *Workspace) identity(n int) []int32 {
+	if cap(w.ident) < n {
+		w.ident = make([]int32, n)
+		for i := range w.ident {
+			w.ident[i] = int32(i)
+		}
+	}
+	return w.ident[:n]
 }
 
 // arenaChunk is the node allocation granularity: one make per 512 nodes
