@@ -20,12 +20,13 @@ check: vet race train-equivalence resume-equivalence campaign-equivalence chaos-
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (presorted vs reference builder must
 # emit bit-identical trees), the rank counting sort against the
-# (value, position) comparison sort it replaced, every Fit and Update
+# (value, position) comparison sort it replaced, the branch-free stable
+# partitions against a naive two-slice partition, every Fit and Update
 # slot against the reference builder on its materialised bootstrap, and
 # the forest fit path with DisableBagging on and off, all under the race detector so the per-worker workspace
 # reuse is exercised concurrently.
 train-equivalence:
-	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestForestFitBaggingModes|TestOOBParallel|TestRankPresortMatchesComparisonSort|TestForestBootstrapMatchesReference' ./internal/tree ./internal/forest
+	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestForestFitBaggingModes|TestOOBParallel|TestRankPresortMatchesComparisonSort|TestStablePartitionMatchesNaive|TestForestBootstrapMatchesReference' ./internal/tree ./internal/forest
 
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to

@@ -90,13 +90,16 @@ func TestEvaldEndToEnd(t *testing.T) {
 			cmd.Wait()
 		}
 	}()
-	lines := make(chan string, 64)
+	// The reader collects every log line and closes done at EOF. It must
+	// finish before cmd.Wait, which closes the pipe (see os/exec).
+	var lines []string
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
-			lines <- sc.Text()
+			lines = append(lines, sc.Text())
 		}
-		close(lines)
 	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -130,11 +133,16 @@ func TestEvaldEndToEnd(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("evald still running 60s after SIGTERM")
+	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("evald exited uncleanly after SIGTERM: %v", err)
 	}
 	var drained bool
-	for line := range lines {
+	for _, line := range lines {
 		if strings.Contains(line, "drained cleanly") {
 			drained = true
 		}

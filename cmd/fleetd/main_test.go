@@ -33,7 +33,10 @@ func buildFleetd(t *testing.T) string {
 
 // journalDir places the drill's journal under FLEETD_TEST_JOURNAL when
 // set — CI points it at a workspace path and uploads the segments as a
-// failure artifact — and in the test's temp dir otherwise.
+// failure artifact — and in the test's temp dir otherwise. The directory
+// starts empty: `make check` runs each drill twice under one root (in
+// race and in fleet-failover), and a drill must never recover the
+// previous run's journal.
 func journalDir(t *testing.T) string {
 	t.Helper()
 	root := os.Getenv("FLEETD_TEST_JOURNAL")
@@ -41,6 +44,9 @@ func journalDir(t *testing.T) string {
 		return t.TempDir()
 	}
 	dir := filepath.Join(root, t.Name())
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}

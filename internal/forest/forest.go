@@ -48,7 +48,7 @@ type Config struct {
 	NumTrees int
 
 	// Tree configures the individual CART learners. Tree.MaxFeatures <= 0
-	// is replaced by max(1, d/3).
+	// considers all features at every split.
 	Tree tree.Config
 
 	// Uncertainty selects the σ estimator (default BetweenTrees).

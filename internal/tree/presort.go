@@ -545,16 +545,25 @@ func sortCatsByMean(cs []catStat) {
 // order is preserved on both sides, which keeps idx segments in
 // ascending sample order — the invariant the bit-identity argument
 // rests on.
+//
+// The loop is branch-free. A split's mask is close to a coin flip per
+// sample, so branching on it mispredicts about every other element.
+// Instead each entry is written to both destinations, and only the
+// cursor of the side it belongs to advances (m compiles to the mask
+// byte loaded as 0 or 1, not to a jump); the stray write to the other
+// side is overwritten by the next entry or lies past the final cursor.
 func stablePartitionIdx(seg []int32, mask []bool, scratch []int32) int {
+	scratch = scratch[:len(seg)]
 	nl, nr := 0, 0
 	for _, i := range seg {
+		m := 0
 		if mask[i] {
-			seg[nl] = i
-			nl++
-		} else {
-			scratch[nr] = i
-			nr++
+			m = 1
 		}
+		seg[nl] = i
+		scratch[nr] = i
+		nl += m
+		nr += 1 - m
 	}
 	copy(seg[nl:], scratch[:nr])
 	return nl
@@ -562,20 +571,22 @@ func stablePartitionIdx(seg []int32, mask []bool, scratch []int32) int {
 
 // stablePartitionCol stably partitions a column order and its aligned
 // value cache together, preserving the (value, position) sort within
-// each side.
+// each side. It is branch-free for the same reason and in the same way
+// as stablePartitionIdx.
 func stablePartitionCol(ord []int32, vals []float64, mask []bool, sIdx []int32, sVals []float64) {
+	vals = vals[:len(ord)]
+	sIdx, sVals = sIdx[:len(ord)], sVals[:len(ord)]
 	nl, nr := 0, 0
 	for k, i := range ord {
 		v := vals[k]
+		m := 0
 		if mask[i] {
-			ord[nl] = i
-			vals[nl] = v
-			nl++
-		} else {
-			sIdx[nr] = i
-			sVals[nr] = v
-			nr++
+			m = 1
 		}
+		ord[nl], vals[nl] = i, v
+		sIdx[nr], sVals[nr] = i, v
+		nl += m
+		nr += 1 - m
 	}
 	copy(ord[nl:], sIdx[:nr])
 	copy(vals[nl:], sVals[:nr])

@@ -485,3 +485,85 @@ func TestFitBootstrapValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// naivePartition is the obvious stable partition the builder's
+// partitions must reproduce: left-going entries (mask true) then
+// right-going ones, each side in input order, built in fresh slices.
+func naivePartition(ord []int32, vals []float64, mask []bool) ([]int32, []float64, int) {
+	var lo, ro []int32
+	var lv, rv []float64
+	for k, i := range ord {
+		if mask[i] {
+			lo, lv = append(lo, i), append(lv, vals[k])
+		} else {
+			ro, rv = append(ro, i), append(rv, vals[k])
+		}
+	}
+	return append(lo, ro...), append(lv, rv...), len(lo)
+}
+
+// TestStablePartitionMatchesNaive pins stablePartitionIdx and
+// stablePartitionCol to the naive two-slice stable partition: random,
+// all-left, all-right and alternating masks over segments of length 0,
+// 1, 2 and 257, both as a whole buffer and as a segment in the middle
+// of a longer one (whose surroundings must stay untouched). ord, vals,
+// idx and the left count must all be identical.
+func TestStablePartitionMatchesNaive(t *testing.T) {
+	r := rng.New(71)
+	masks := []struct {
+		name string
+		gen  func(i int) bool
+	}{
+		{"random", func(int) bool { return r.Intn(2) == 0 }},
+		{"all-left", func(int) bool { return true }},
+		{"all-right", func(int) bool { return false }},
+		{"alternating", func(i int) bool { return i%2 == 0 }},
+	}
+	for _, n := range []int{0, 1, 2, 257} {
+		for _, pad := range []int{0, 13} {
+			for _, mk := range masks {
+				total := n + 2*pad
+				// Sample ids are a shuffle of 0..total-1, as in a column
+				// order; the mask is indexed by sample id.
+				ids := make([]int32, total)
+				for k, p := range r.Perm(total) {
+					ids[k] = int32(p)
+				}
+				vals := make([]float64, total)
+				for k := range vals {
+					vals[k] = r.Norm()
+				}
+				mask := make([]bool, total)
+				for i := range mask {
+					mask[i] = mk.gen(i)
+				}
+				seg := ids[pad : pad+n]
+				wantOrd, wantVals, wantNL := naivePartition(seg, vals[pad:pad+n], mask)
+
+				idx := append([]int32(nil), ids...)
+				ord := append([]int32(nil), ids...)
+				gotVals := append([]float64(nil), vals...)
+				sIdx, sVals := make([]int32, total), make([]float64, total)
+
+				nl := stablePartitionIdx(idx[pad:pad+n], mask, sIdx)
+				stablePartitionCol(ord[pad:pad+n], gotVals[pad:pad+n], mask, sIdx, sVals)
+
+				if nl != wantNL {
+					t.Fatalf("n=%d pad=%d %s: left count %d, want %d", n, pad, mk.name, nl, wantNL)
+				}
+				for k := 0; k < total; k++ {
+					wo, wv := ids[k], vals[k] // outside the segment: untouched
+					if k >= pad && k < pad+n {
+						wo, wv = wantOrd[k-pad], wantVals[k-pad]
+					}
+					if idx[k] != wo || ord[k] != wo {
+						t.Fatalf("n=%d pad=%d %s: pos %d idx %d ord %d, want %d", n, pad, mk.name, k, idx[k], ord[k], wo)
+					}
+					if math.Float64bits(gotVals[k]) != math.Float64bits(wv) {
+						t.Fatalf("n=%d pad=%d %s: pos %d val %v, want %v", n, pad, mk.name, k, gotVals[k], wv)
+					}
+				}
+			}
+		}
+	}
+}
