@@ -31,9 +31,10 @@ train-equivalence:
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to
 # the uninterrupted run (cold-refit and warm-update forests, the
-# snapshot JSON round trip, and the pipeline-level Tune resume).
+# snapshot JSON round trip, the pipeline-level Tune resume, and a
+# committed legacy in-memory checkpoint resumed to the golden run).
 resume-equivalence:
-	go test -race -run 'TestResumeEquivalence|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint' ./internal/core ./internal/autotune ./internal/runstate
+	go test -race -run 'TestResumeEquivalence|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestResumeLegacyInMemorySnapshot' ./internal/core ./internal/autotune ./internal/runstate
 
 # campaign-equivalence gates the campaign engine: the work-stealing
 # drain must reproduce the retained sequential RunAll path bit for bit
