@@ -40,9 +40,11 @@ resume-equivalence:
 # drain must reproduce the retained sequential RunAll path bit for bit
 # for every strategy and any worker count, the single-flight dataset
 # cache must build each repetition's dataset exactly once, and the
-# cached checkpoint-evaluation path must equal PredictBatch exactly.
+# warm checkpoint evaluation (a cached pool.Scan of the test set) must
+# equal PredictBatch exactly at every checkpoint and across partial
+# forest updates.
 campaign-equivalence:
-	go test -race -run 'TestCampaignMatchesSequential|TestCampaignWorkerInvariance|TestCampaignDatasetCacheHits|TestCampaignWarmUpdate|TestAggregatePartialRepsCount|TestPredictCachedMatchesBatch|TestSchedulerRunsEveryTaskOnce|TestDatasetCacheSingleFlight' ./internal/experiment ./internal/forest ./internal/campaign
+	go test -race -run 'TestCampaignMatchesSequential|TestCampaignWorkerInvariance|TestCampaignDatasetCacheHits|TestCampaignWarmUpdate|TestAggregatePartialRepsCount|TestWarmTestPredictMatchesBatch|TestPredictPoolAfterUpdate|TestUpdateRotationKeepsCacheConsistent|TestSchedulerRunsEveryTaskOnce|TestDatasetCacheSingleFlight' ./internal/experiment ./internal/forest ./internal/campaign
 
 # chaos-equivalence gates the fault injector against the run engine: a
 # transient-only scenario fully covered by retries must leave every
@@ -62,16 +64,17 @@ chaos-equivalence:
 chaos-soak:
 	go test -race -run 'TestChaosSoakMixedFaults|TestCampaignQuarantinesPanickedCells|TestSchedulerQuarantinesPanics|TestTimeoutCutsHangAsRetryable|TestNoGoroutineLeakCancelDuringHang|TestBackoffInterruptedByCancel|TestBackoffClampedByTimeout' ./internal/experiment ./internal/campaign ./internal/core
 
-# pool-equivalence gates the streaming sharded scoring pipeline: the
-# streaming selection path must be bit-identical to the in-memory path
-# for every strategy, invariant across shard sizes and worker counts —
-# sources replay materialized draws exactly, ScoreBatch equals
-# PredictBatch per row, the bounded top-k reducers match the sort-based
-# selection helpers on the shared ordering-contract table, RunStream
-# equals Run end to end (including resume from any snapshot), and the
-# full Tune pipeline lands on the same configuration either way.
+# pool-equivalence gates the streaming sharded scoring pipeline, the one
+# selection path every pool goes through: selection is invariant across
+# shard sizes and worker counts for every strategy — sources replay
+# materialized draws exactly, ScoreBatch equals PredictBatch per row,
+# the bounded top-k reducers match the sort-based oracle helpers on the
+# shared ordering-contract table, a lazily generated pool and its
+# materialized pool.Slice give the same run end to end (including resume
+# from any snapshot), and the full Tune pipeline lands on the same
+# outcome at any shard size.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory' ./internal/core ./internal/pool ./internal/forest ./internal/autotune
+	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestTuneShardInvariance' ./internal/core ./internal/pool ./internal/forest ./internal/autotune
 
 # quant-equivalence gates the quantized scoring kernel against the
 # exact engine on the paper's own spaces (SPAPT atax, Kripke, Hypre):
@@ -85,9 +88,9 @@ quant-equivalence:
 
 # session-equivalence gates the ask-tell session refactor: the drivers
 # (Run/Resume/RunStream/ResumeStream) are thin loops over core.Session,
-# and every strategy's trajectory — materialized and streamed, resumed
-# from every checkpoint prefix — must stay bit-identical to the
-# pre-refactor goldens pinned in testdata/session_golden.json. The
+# and every strategy's trajectory — over a materialized pool.Slice and a
+# lazily generated source, resumed from every checkpoint prefix — must
+# stay bit-identical to the goldens pinned in testdata/session_golden.json. The
 # daemon half kills a tuned process mid-batch over HTTP, restarts it,
 # and requires the recovered session's curve to equal an undisturbed
 # daemon's, plus the snapshot version-tolerance contract.

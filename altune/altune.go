@@ -165,8 +165,9 @@ const (
 // Strategy selects the next batch of pool candidates.
 type Strategy = core.Strategy
 
-// Candidates is the strategy's view of the remaining pool.
-type Candidates = core.Candidates
+// PoolStream is the strategy's view of the remaining pool: a scored
+// stream of (ordinal, features, μ, σ) that SelectStream reduces.
+type PoolStream = core.PoolStream
 
 // Params are Algorithm 1's knobs (NInit/NBatch/NMax/Forest).
 type Params = core.Params

@@ -28,6 +28,7 @@ import (
 	"repro/internal/kripke"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/spapt"
@@ -775,8 +776,9 @@ func pow(x, e float64) float64 {
 // ---- Inference engine (DESIGN.md §7) ----
 
 // inferenceSetup trains a paper-scale surrogate (64 trees on 500 labels
-// of the atax space, §III-D) and encodes a 7000-row scoring pool.
-func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64) {
+// of the atax space, §III-D) and draws a 7000-row scoring pool, returned
+// encoded and as a pool source.
+func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64, pool.Source) {
 	b.Helper()
 	p, err := bench.ByName("atax")
 	if err != nil {
@@ -795,44 +797,46 @@ func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := sp.EncodeAll(sp.SampleConfigs(r.Split(), 7000))
-	return f, pool
+	cfgs := sp.SampleConfigs(r.Split(), 7000)
+	return f, sp.EncodeAll(cfgs), pool.NewSlice(sp, cfgs)
 }
 
 // BenchmarkPredictBatchFlat7000 measures one full pool-scoring pass on
 // the compiled flat-array engine — the per-iteration cost of Algorithm
 // 1's step 3 at paper scale.
 func BenchmarkPredictBatchFlat7000(b *testing.B) {
-	f, pool := inferenceSetup(b)
+	f, X, _ := inferenceSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictBatch(pool)
+		f.PredictBatch(X)
 	}
 }
 
 // BenchmarkPredictBatchPointer7000 is the pointer-walking baseline the
 // flat engine is measured against.
 func BenchmarkPredictBatchPointer7000(b *testing.B) {
-	f, pool := inferenceSetup(b)
+	f, X, _ := inferenceSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictBatchReference(pool)
+		f.PredictBatchReference(X)
 	}
 }
 
-// BenchmarkPredictBatchPoolCached7000 measures the steady-state scoring
-// path core.Run actually takes: the pool bound once, per-tree
-// predictions cached, each iteration only aggregating cached values.
-func BenchmarkPredictBatchPoolCached7000(b *testing.B) {
-	f, pool := inferenceSetup(b)
-	rows := make([]int, len(pool))
-	for i := range rows {
-		rows[i] = i
+// BenchmarkPoolScanCached7000 measures the steady-state scan a
+// warm-update run takes between refits that changed nothing: a full
+// pool.Scan whose every candidate is served from the cross-scan cache's
+// per-tree panels (no tree re-walked, only re-aggregated).
+func BenchmarkPoolScanCached7000(b *testing.B) {
+	f, _, src := inferenceSetup(b)
+	cache := pool.NewScanCache(0)
+	consume := func(int, []float64, float64, float64) {}
+	if err := pool.Scan(src, f, pool.ScanConfig{Cache: cache}, consume); err != nil {
+		b.Fatal(err) // the initial fill stays out of the timed loop
 	}
-	f.BindPool(pool)
-	f.PredictPool(rows[:1]) // force the initial fill out of the timed loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictPool(rows)
+		if err := pool.Scan(src, f, pool.ScanConfig{Cache: cache}, consume); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

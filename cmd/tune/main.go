@@ -7,12 +7,14 @@
 //
 //	tune -bench atax [-budget 200] [-searcher anneal] [-verify 5] [-seed 42]
 //	     [-checkpoint tune.ckpt] [-every 10] [-retries 2] [-timeout 30s]
-//	     [-chaos err=0.1,hang=0.01] [-stream] [-pool 1000000] [-shard 1024]
+//	     [-chaos err=0.1,hang=0.01] [-pool 1000000] [-shard 1024] [-quant] [-warm]
 //
-// With -stream, the candidate pool of the model phase is generated lazily
-// and scored shard by shard instead of being materialized, so -pool can
-// scale to production spaces (10^6+) with bounded memory; the result is
-// bit-identical to the in-memory mode for the same seed.
+// The candidate pool of the model phase is generated lazily and scored
+// shard by shard, never materialized, so -pool can scale to production
+// spaces (10^6+) with bounded memory; -shard sizes the scoring shards
+// without changing the result. -quant scores the pool on the quantized
+// forest kernel, and -warm refits by partial ensemble update with
+// unchanged trees' scores cached across iterations.
 //
 // With -checkpoint, the expensive model-building phase is resumable:
 // SIGINT drains the current measurement, writes a snapshot, and exits
@@ -72,11 +74,10 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot file making the model phase resumable")
 	every := flag.Int("every", 10, "iterations between snapshots (with -checkpoint)")
 	retries := flag.Int("retries", 0, "retry budget per failed measurement")
-	stream := flag.Bool("stream", false, "stream the candidate pool shard by shard instead of materializing it\n(same result bit for bit; memory stays bounded for huge -pool sizes)")
-	quant := flag.Bool("quant", false, "score streamed scans on the quantized forest kernel (~3x faster;\nfloat32 score rounding may shift selections within tolerance); requires -stream")
-	warm := flag.Bool("warm", false, "refit by partial ensemble update each iteration; with -stream,\nunchanged trees' scores are cached across scan iterations")
+	quant := flag.Bool("quant", false, "score pool scans on the quantized forest kernel (~3x faster;\nfloat32 score rounding may shift selections within tolerance)")
+	warm := flag.Bool("warm", false, "refit by partial ensemble update each iteration;\nunchanged trees' scores are cached across scan iterations")
 	poolSize := flag.Int("pool", 0, "unlabeled candidate pool size (0 = pipeline default)")
-	shard := flag.Int("shard", 0, "candidates per scoring shard with -stream (0 = default 1024)")
+	shard := flag.Int("shard", 0, "candidates per scoring shard (0 = default 1024)")
 	timeout := flag.Duration("timeout", 0, "per-measurement deadline; a hung run is cut off and retried (0 = none)")
 	chaosSpec := flag.String("chaos", "", "fault-injection scenario for the model phase;\n"+chaos.Grammar)
 	remote := flag.String("remote", "", "serve a fleet coordinator on this host:port and offload measurements to remote evald workers")
@@ -122,11 +123,7 @@ func main() {
 	cfg.Failure = core.FailurePolicy{MaxRetries: *retries, Backoff: 100 * time.Millisecond,
 		MaxBackoff: 5 * time.Second, Timeout: *timeout}
 	cfg.Chaos = scenario
-	cfg.Stream = *stream
 	cfg.StreamShard = *shard
-	if *quant && !*stream {
-		fatal(fmt.Errorf("-quant needs -stream: the quantized kernel scores streamed pool scans"))
-	}
 	cfg.Quant = *quant
 	cfg.WarmUpdate = *warm
 	if *poolSize > 0 {
@@ -168,13 +165,11 @@ func main() {
 	fmt.Printf("tuning %s (%s)\n", p.Name(), p.Description())
 	fmt.Printf("pipeline: %d real runs -> %s search x %d -> verify %d\n\n",
 		cfg.ModelBudget, cfg.Searcher, cfg.SearchBudget, cfg.Verify)
-	if cfg.Stream {
-		kernel := "exact"
-		if cfg.Quant {
-			kernel = "quantized"
-		}
-		fmt.Printf("pool: %d candidates, streamed shard by shard (%s kernel)\n\n", cfg.PoolSize, kernel)
+	kernel := "exact"
+	if cfg.Quant {
+		kernel = "quantized"
 	}
+	fmt.Printf("pool: %d candidates, streamed shard by shard (%s kernel)\n\n", cfg.PoolSize, kernel)
 	if *checkpoint != "" {
 		if _, err := os.Stat(*checkpoint); err == nil {
 			fmt.Printf("resuming model phase from %s\n\n", *checkpoint)

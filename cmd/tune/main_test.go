@@ -88,18 +88,23 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestQuantRequiresStream: -quant is a streaming-kernel switch; without
-// -stream the binary must refuse with a clear message before any work.
-func TestQuantRequiresStream(t *testing.T) {
+// TestQuantRunsToCompletion: -quant is available on every run — the
+// model phase always scores its pool through the streamed scan, which
+// the quantized kernel serves — and a quantized tune finishes with a
+// verified best configuration.
+func TestQuantRunsToCompletion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the real binary")
 	}
 	bin := buildTune(t)
-	out, err := exec.Command(bin, "-bench", "atax", "-quant").CombinedOutput()
-	if code := exitCode(t, err); code != 1 {
-		t.Fatalf("-quant without -stream exited %d, want 1\n%s", code, out)
+	out, err := exec.Command(bin, "-bench", "atax", "-quant", "-budget", "30", "-search", "500",
+		"-verify", "2", "-pool", "400").CombinedOutput()
+	if code := exitCode(t, err); code != 0 {
+		t.Fatalf("tune -quant exited %d, want 0\n%s", code, out)
 	}
-	if !strings.Contains(string(out), "-stream") {
-		t.Fatalf("error does not point at -stream:\n%s", out)
+	for _, want := range []string{"quantized kernel", "best configuration", "speedup"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("tune -quant output lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -79,33 +79,26 @@ type Config struct {
 	// zero scenario injects nothing.
 	Chaos chaos.Scenario
 
-	// Stream runs the model phase through core.RunStream: the candidate
-	// pool is generated lazily shard by shard instead of being
-	// materialized as PoolSize configs up front, so PoolSize can scale to
-	// production spaces (10^6–10^8) with memory bounded by
-	// O(StreamWorkers × StreamShard). The pool sequence is bit-identical
-	// to the in-memory one, so for the same seed both modes produce the
-	// same outcome — the pool-equivalence gate pins this.
-	Stream bool
-
 	// StreamShard and StreamWorkers tune the sharded pool scan
 	// (candidates per scoring shard, concurrent scoring workers); <= 0
-	// uses the pool package defaults. Ignored without Stream.
+	// uses the pool package defaults. The model phase's pool is
+	// generated lazily shard by shard, never materialized, so PoolSize
+	// can scale to production spaces (10^6–10^8) with memory bounded by
+	// O(StreamWorkers × StreamShard).
 	StreamShard   int
 	StreamWorkers int
 
-	// Quant scores streamed pool scans on the forest's quantized kernel
+	// Quant scores the pool scans on the forest's quantized kernel
 	// (packed float32 trees, ~3× per-candidate throughput; scores carry
 	// float32 rounding, so selections may diverge from the exact kernel
-	// within that tolerance — see the quant-equivalence gate). Requires
-	// Stream; Tune rejects Quant without it.
+	// within that tolerance — see the quant-equivalence gate).
 	Quant bool
 
 	// WarmUpdate refits the surrogate by partially updating the
-	// ensemble each iteration instead of retraining from scratch. With
-	// Stream it also enables the cross-scan score cache: unchanged
-	// trees' scores are reused between iterations and only the
-	// refreshed trees are re-walked.
+	// ensemble each iteration instead of retraining from scratch. It
+	// also enables the cross-scan score cache: unchanged trees' scores
+	// are reused between iterations and only the refreshed trees are
+	// re-walked.
 	WarmUpdate bool
 
 	// Logf, when set, receives warnings the pipeline can recover from —
@@ -182,9 +175,6 @@ func Tune(ctx context.Context, p bench.Problem, cfg Config, seed uint64) (*Outco
 	if cfg.Verify < 1 {
 		return nil, fmt.Errorf("autotune: verify count %d", cfg.Verify)
 	}
-	if cfg.Quant && !cfg.Stream {
-		return nil, fmt.Errorf("autotune: Quant requires Stream (the quantized kernel serves streamed pool scans)")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -205,9 +195,9 @@ func Tune(ctx context.Context, p bench.Problem, cfg Config, seed uint64) (*Outco
 	// Phase 1: surrogate via PWU active learning. Every input below is
 	// regenerated deterministically from the seed, which is what lets a
 	// resumed phase validate the pool fingerprint and continue the
-	// exact run. poolR seeds the unlabeled pool: materialized via
-	// SampleConfigs, or replayed lazily by a pool.Uniform source carrying
-	// the same seed — the two yield the identical candidate sequence.
+	// exact run. poolR seeds the unlabeled pool, replayed lazily by a
+	// pool.Uniform source — the candidate sequence SampleConfigs(poolR,
+	// PoolSize) would materialize.
 	poolR := r.Split()
 	params := core.Params{
 		NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
@@ -250,20 +240,11 @@ func Tune(ctx context.Context, p bench.Problem, cfg Config, seed uint64) (*Outco
 			}
 		}
 	}
-	if cfg.Stream {
-		src := pool.NewUniform(sp, poolR.Seed(), cfg.PoolSize)
-		if snap != nil {
-			res, err = core.ResumeStream(ctx, snap, src, modelEv, strat, params, nil)
-		} else {
-			res, err = core.RunStream(ctx, src, modelEv, strat, params, loopR, nil)
-		}
+	src := pool.NewUniform(sp, poolR.Seed(), cfg.PoolSize)
+	if snap != nil {
+		res, err = core.ResumeStream(ctx, snap, src, modelEv, strat, params, nil)
 	} else {
-		mem := sp.SampleConfigs(poolR, cfg.PoolSize)
-		if snap != nil {
-			res, err = core.Resume(ctx, snap, sp, mem, modelEv, strat, params, nil)
-		} else {
-			res, err = core.Run(ctx, sp, mem, modelEv, strat, params, loopR, nil)
-		}
+		res, err = core.RunStream(ctx, src, modelEv, strat, params, loopR, nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("autotune: model phase: %w", err)

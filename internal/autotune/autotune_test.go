@@ -40,11 +40,6 @@ func TestValidation(t *testing.T) {
 	if _, err := Tune(context.Background(), p, cfg, 1); err == nil {
 		t.Fatal("unknown searcher accepted")
 	}
-	cfg = smallCfg()
-	cfg.Quant = true // without Stream
-	if _, err := Tune(context.Background(), p, cfg, 1); err == nil {
-		t.Fatal("Quant without Stream accepted")
-	}
 }
 
 func TestTuneBeatsRandomSample(t *testing.T) {

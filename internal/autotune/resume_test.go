@@ -10,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/runstate"
 )
@@ -40,7 +41,7 @@ func TestTuneCheckpointResume(t *testing.T) {
 	r := rng.New(seed)
 	sp := p.Space()
 	ev := bench.Evaluator(p, r.Split())
-	pool := sp.SampleConfigs(r.Split(), cfg.PoolSize)
+	src := pool.NewUniform(sp, r.Split().Seed(), cfg.PoolSize)
 	params := core.Params{
 		NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
 		Forest: cfg.Forest, Failure: cfg.Failure,
@@ -48,7 +49,7 @@ func TestTuneCheckpointResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = core.Run(ctx, sp, pool, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
+	_, err = core.RunStream(ctx, src, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
 		func(s *core.State) error {
 			if s.Iteration == 4 {
 				cancel()
@@ -109,7 +110,7 @@ func TestTuneRejectsForeignCheckpoint(t *testing.T) {
 		r := rng.New(5)
 		sp := p.Space()
 		ev := bench.Evaluator(p, r.Split())
-		pool := sp.SampleConfigs(r.Split(), cfg.PoolSize)
+		src := pool.NewUniform(sp, r.Split().Seed(), cfg.PoolSize)
 		params := core.Params{
 			NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
 			Forest: cfg.Forest, Failure: cfg.Failure,
@@ -117,7 +118,7 @@ func TestTuneRejectsForeignCheckpoint(t *testing.T) {
 		}
 		ictx, icancel := context.WithCancel(context.Background())
 		defer icancel()
-		_, runErr := core.Run(ictx, sp, pool, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
+		_, runErr := core.RunStream(ictx, src, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
 			func(s *core.State) error {
 				if s.Iteration == 2 {
 					icancel()

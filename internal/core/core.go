@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/forest"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -133,37 +134,6 @@ type Updatable interface {
 	// Update refits the model in place given the full current training
 	// set (old samples first, new samples appended at the end).
 	Update(X [][]float64, y []float64, r *rng.RNG) error
-}
-
-// PoolPredictor is an optional Model capability: bind the run's fixed
-// pool matrix once, then score arbitrary subsets of it by pool-row
-// index. Models that implement it (forest.Forest) let Run skip
-// rebuilding the candidate matrix every iteration and reuse cached
-// per-tree predictions — after a partial Update only the refreshed
-// trees' rows are recomputed. Implementations must return exactly the
-// values PredictBatch would return for the same rows.
-type PoolPredictor interface {
-	// BindPool registers the pool feature matrix; it is called before
-	// every PredictPool and must be cheap when the matrix is already
-	// bound.
-	BindPool(poolX [][]float64)
-
-	// PredictPool returns prediction means and uncertainties for the
-	// pool rows with the given indices.
-	PredictPool(rows []int) (mu, sigma []float64)
-}
-
-// CachedBatchPredictor is an optional Model capability: predict a fixed
-// feature matrix (identity-keyed, e.g. a held-out test set evaluated at
-// every checkpoint) from cached per-tree predictions, recomputing only
-// what a partial Update invalidated. Implementations must return exactly
-// the values PredictBatch would return for the same matrix.
-// forest.Forest implements it; the experiment harness uses it for
-// checkpoint evaluation during warm-update runs.
-type CachedBatchPredictor interface {
-	// PredictCached returns prediction means and uncertainties for every
-	// row of X.
-	PredictCached(X [][]float64) (mu, sigma []float64)
 }
 
 // FailureAction selects what the engine does with a configuration whose
@@ -324,30 +294,28 @@ type Params struct {
 	// json.Marshaler set this to make their runs resumable.
 	ModelLoader func(data []byte) (Model, error)
 
-	// StreamShard and StreamWorkers tune RunStream's sharded pool scan:
+	// StreamShard and StreamWorkers tune the sharded pool scan:
 	// candidates per scoring shard and concurrent scoring workers
 	// (<= 0 uses the pool package defaults of 1024 and GOMAXPROCS).
 	// They are performance knobs only — selection is bit-identical
-	// across every setting, which the pool-equivalence gate enforces —
-	// and the in-memory Run ignores them.
+	// across every setting, which the pool-equivalence gate enforces.
 	StreamShard   int
 	StreamWorkers int
 
-	// Quant routes RunStream's pool scans through the model's quantized
-	// scoring kernel (forest.ScoreBatchQ: packed 8-byte float32 nodes,
+	// Quant routes the pool scans through the model's quantized scoring
+	// kernel (forest.ScoreBatchQ: packed 8-byte float32 nodes,
 	// branchless 8-lane traversal — roughly 3× the exact kernel's
 	// per-candidate throughput). The model must support quantization
-	// (the default forest does; RunStream fails on the first scan
+	// (the default forest does; the run fails on the first scan
 	// otherwise). Scan scores then carry float32 leaf rounding, so
 	// selections may diverge from the exact kernel's within that
 	// tolerance — the quant-equivalence gate measures the divergence on
 	// the paper's spaces. Selection-time beliefs recorded for the label
 	// guard and Result.Selections still come from the exact model.
-	// The in-memory Run ignores Quant.
 	Quant bool
 
 	// StreamCacheMB bounds the cross-scan score cache (pool.ScanCache)
-	// active during warm-update streaming runs: per-candidate per-tree
+	// active during warm-update runs: per-candidate per-tree
 	// score panels are kept across iterations so each scan re-walks only
 	// the ensemble slots the preceding partial Update actually refreshed.
 	// 0 means a 256 MiB default, < 0 disables the cache; candidates
@@ -431,9 +399,9 @@ type IterStats struct {
 	// beyond the median that became the label.
 	GuardCost float64 `json:"guard_cost,omitempty"`
 
-	// PoolCached reports whether candidate scoring went through the
-	// pool-prediction cache (PoolPredictor) instead of a rebuilt
-	// candidate matrix.
+	// PoolCached reports that this iteration's pool scan was served by
+	// the cross-scan score cache (pool.ScanCache; warm-update runs), so
+	// only the refreshed trees were re-walked for cached candidates.
 	PoolCached bool `json:"pool_cached,omitempty"`
 }
 
@@ -453,7 +421,8 @@ type RunStats struct {
 	GuardQuarantined int
 	GuardCost        float64
 
-	// CachedIterations counts iterations scored via the pool cache.
+	// CachedIterations counts iterations whose scan was served by the
+	// cross-scan score cache (IterStats.PoolCached).
 	CachedIterations int
 
 	// Events counts telemetry events (cold start + iterations).
@@ -562,31 +531,18 @@ func (r *Result) Telemetry() RunStats {
 // Checkpoint sink is configured, and returns the partial Result with an
 // error wrapping ctx.Err().
 //
-// sp describes the parameter space; pool is the unlabeled data pool
+// sp describes the parameter space; configs is the unlabeled data pool
 // X_pool (the surrogate of the whole space); ev labels configurations;
 // strat picks batches; r provides all randomness; obs may be nil.
 //
-// The pool slice is not modified; Run tracks membership internally.
-//
-// Run is a thin driver over the ask-tell Session (session.go): it asks
-// for batches, labels them in-process under the failure policy, and
-// tells the labels back — bit-identical to the historical monolithic
-// loop, which the session-equivalence goldens pin.
-func Run(ctx context.Context, sp *space.Space, pool []space.Config, ev Evaluator, strat Strategy, params Params, r *rng.RNG, obs Observer) (*Result, error) {
+// The configs slice is not modified. Run is RunStream over
+// pool.NewSlice(sp, configs): the pool is scored through the same
+// sharded scan as a lazily generated one.
+func Run(ctx context.Context, sp *space.Space, configs []space.Config, ev Evaluator, strat Strategy, params Params, r *rng.RNG, obs Observer) (*Result, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("core: nil space")
 	}
-	if ev == nil || strat == nil || r == nil {
-		return nil, fmt.Errorf("core: nil evaluator, strategy or generator")
-	}
-	s, err := NewSession(SessionConfig{
-		Space: sp, Pool: pool, Strategy: strat, Params: params,
-		RNG: r, Observer: obs, Evaluator: ev,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return driveSession(ctx, s, ev)
+	return RunStream(ctx, pool.NewSlice(sp, configs), ev, strat, params, r, obs)
 }
 
 // median returns the median of xs (mean of the central pair for even
@@ -599,15 +555,4 @@ func median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// compact removes the taken pool indices from remaining, preserving order.
-func compact(remaining []int, taken map[int]bool) []int {
-	out := remaining[:0]
-	for _, idx := range remaining {
-		if !taken[idx] {
-			out = append(out, idx)
-		}
-	}
-	return out
 }

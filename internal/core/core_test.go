@@ -233,14 +233,26 @@ func TestBadStrategyIndexRejected(t *testing.T) {
 	}
 }
 
-// strategyFunc lets tests inject malformed strategies.
+// strategyFunc lets tests inject malformed strategies: f sees the
+// scanned pool materialized in ordinal order.
 type strategyFunc struct {
 	name string
 	f    func(c *Candidates, n int) []int
 }
 
-func (s strategyFunc) Name() string                      { return s.name }
-func (s strategyFunc) Select(c *Candidates, n int) []int { return s.f(c, n) }
+func (s strategyFunc) Name() string { return s.name }
+func (s strategyFunc) SelectStream(ps PoolStream, n int) ([]int, error) {
+	c := &Candidates{
+		X:  make([][]float64, ps.Len()),
+		Mu: make([]float64, ps.Len()), Sigma: make([]float64, ps.Len()),
+		BestY: ps.BestY(), Rand: ps.Rand(),
+	}
+	err := ps.Scan(func(ord int, x []float64, mu, sigma float64) {
+		c.X[ord] = append([]float64(nil), x...)
+		c.Mu[ord], c.Sigma[ord] = mu, sigma
+	})
+	return s.f(c, n), err
+}
 
 func TestCustomFitter(t *testing.T) {
 	// A constant-model fitter: proves Run honours Params.Fitter and
@@ -378,9 +390,10 @@ func TestPoolNotMutated(t *testing.T) {
 }
 
 // noPoolModel wraps a forest but exposes only the base Model interface,
-// hiding the PoolPredictor (and Updatable) capabilities. It forces Run
-// onto the candidate-matrix fallback path, the reference for the cached
-// pool-scoring path.
+// hiding the forest's native scorer (ScoreBatch, the per-slot contract
+// the cross-scan cache needs) and Updatable. It forces the scan onto the
+// serialized PredictBatch fallback, the reference for the native and
+// cached scoring paths.
 type noPoolModel struct{ f *forest.Forest }
 
 func (m noPoolModel) Predict(x []float64) float64 { return m.f.Predict(x) }
@@ -389,21 +402,22 @@ func (m noPoolModel) PredictBatch(X [][]float64) (mu, sigma []float64) {
 }
 
 // noPoolUpdatable additionally forwards warm updates, so the warm-update
-// loop runs without pool caching.
+// loop runs without the cross-scan cache.
 type noPoolUpdatable struct{ noPoolModel }
 
 func (m noPoolUpdatable) Update(X [][]float64, y []float64, r *rng.RNG) error {
 	return m.noPoolModel.f.Update(X, y, r)
 }
 
-// TestPoolPredictorPathBitIdentical pins the cached pool-scoring path to
-// the plain PredictBatch path bit for bit, end to end through Algorithm
-// 1: same seed, same strategy, the only difference being whether the
-// model advertises PoolPredictor. Selections (the values the strategy
-// acted on) and labels must match exactly, in both cold-refit and
-// warm-update modes — the latter exercises cache invalidation after
+// TestScorerPathsBitIdentical pins the forest's native scan scoring
+// (ScoreBatch, and in warm-update runs the cross-scan cache) to the
+// plain-Model PredictBatch fallback bit for bit, end to end through
+// Algorithm 1: same seed, same strategy, the only difference being
+// whether the model exposes its scorer. Selections (the values the
+// strategy acted on) and labels must match exactly, in both cold-refit
+// and warm-update modes — the latter exercises cache invalidation after
 // partial updates.
-func TestPoolPredictorPathBitIdentical(t *testing.T) {
+func TestScorerPathsBitIdentical(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(40), 120)
 	run := func(fitter Fitter, warm bool) *Result {

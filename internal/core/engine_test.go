@@ -215,8 +215,8 @@ func TestCancelMidLoopDrainsCheckpoint(t *testing.T) {
 		t.Fatalf("drained snapshot at iteration %d with %d labels; run stopped at %d with %d",
 			last.Iteration, len(last.TrainY), res.Iterations, len(res.TrainY))
 	}
-	if len(last.Remaining)+len(last.TrainY) > last.PoolSize {
-		t.Fatal("snapshot membership accounting broken")
+	if len(last.Taken) != len(last.TrainY) || last.Remaining != nil {
+		t.Fatalf("snapshot membership accounting broken: %d taken for %d labels", len(last.Taken), len(last.TrainY))
 	}
 }
 

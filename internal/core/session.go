@@ -24,6 +24,12 @@ import (
 // (driver.go), bit-identical to the historical monolithic loops — the
 // session-equivalence goldens pin that equivalence.
 //
+// Every pool is a pool.Source, scored each iteration by one sharded
+// scan (pool.Scan) that the strategy reduces with bounded top-k
+// reducers; a materialized pool is a pool.Slice. Pool membership is the
+// sorted set of taken global indices, so selection state scales with
+// labels collected, never with pool size.
+//
 // The state machine:
 //
 //	cold ──Ask──▶ labeling ──Tell×batch──▶ ready ──Ask──▶ labeling ─ ...
@@ -130,13 +136,9 @@ type TellReport struct {
 	Done bool `json:"done"`
 }
 
-// SessionConfig assembles a Session. Exactly one of Pool (in-memory
-// candidates) or Source (streamed candidates, bounded memory) must be
-// set; with Source the space is taken from the source and Space may be
-// nil.
+// SessionConfig assembles a Session. Source supplies the candidate pool
+// and its space; wrap a materialized pool with pool.NewSlice.
 type SessionConfig struct {
-	Space    *space.Space
-	Pool     []space.Config
 	Source   pool.Source
 	Strategy Strategy
 	Params   Params
@@ -159,7 +161,7 @@ type SessionConfig struct {
 type pendingItem struct {
 	cfg space.Config
 	x   []float64 // encoded features (loop phase only)
-	idx int       // pool index (in-memory) or global source index (streamed)
+	idx int       // global source index
 
 	// mu/sigma are the model's beliefs at selection time; guarded marks
 	// loop-phase items the label guard screens (cold-start items have
@@ -184,8 +186,6 @@ type remeasure struct {
 // session.
 type Session struct {
 	sp       *space.Space
-	pl       []space.Config
-	poolX    [][]float64
 	features []space.Feature
 	strat    Strategy
 	p        Params
@@ -194,31 +194,28 @@ type Session struct {
 	fitter   Fitter
 	ev       Evaluator // optional; only StatefulEvaluator state is used
 
-	// src, ss and taken are the streamed pool state: the lazy candidate
-	// source, the streaming strategy view, and the sorted global
-	// indices already removed from the pool (at most NMax of them — the
-	// streaming analogue of `remaining`, inverted so its size scales
-	// with labels taken rather than pool size).
+	// src and taken are the pool state: the candidate source and the
+	// sorted global indices already removed from the pool (at most NMax
+	// of them, so membership scales with labels taken rather than pool
+	// size).
 	src   pool.Source
-	ss    StreamStrategy
 	taken []int
 
-	// cache reuses score panels across the streamed run's scans (nil
+	// cache reuses score panels across the run's scans (nil
 	// when disabled; see Params.StreamCacheMB).
 	cache *pool.ScanCache
 
 	service json.RawMessage
 
-	res       *Result
-	trainX    [][]float64
-	remaining []int
-	model     Model
-	iter      int
-	labelSum  float64 // running sum of TrainY
+	res      *Result
+	trainX   [][]float64
+	model    Model
+	iter     int
+	labelSum float64 // running sum of TrainY
 
 	phase     sessionPhase
 	queue     []pendingItem
-	batchIdx  []int // pool/global indices claimed by the current batch
+	batchIdx  []int // global indices claimed by the current batch
 	cur       IterStats
 	evalStart time.Time
 	err       error // terminal error (phaseFailed)
@@ -243,36 +240,18 @@ func newSession(cfg SessionConfig, r *rng.RNG) (*Session, error) {
 		ev: cfg.Evaluator, service: cfg.Service,
 		res: &Result{},
 	}
-	var n int
-	if cfg.Source != nil {
-		if cfg.Pool != nil {
-			return nil, fmt.Errorf("core: both Pool and Source set")
-		}
-		s.src = cfg.Source
-		s.sp = cfg.Source.Space()
-		if s.sp == nil {
-			return nil, fmt.Errorf("core: source has nil space")
-		}
-		if s.strat == nil {
-			return nil, fmt.Errorf("core: nil strategy")
-		}
-		ss, ok := s.strat.(StreamStrategy)
-		if !ok {
-			return nil, fmt.Errorf("core: strategy %q does not support streaming selection", s.strat.Name())
-		}
-		s.ss = ss
-		n = s.src.Len()
-	} else {
-		s.sp = cfg.Space
-		if s.sp == nil {
-			return nil, fmt.Errorf("core: nil space")
-		}
-		if s.strat == nil {
-			return nil, fmt.Errorf("core: nil strategy")
-		}
-		s.pl = cfg.Pool
-		n = len(s.pl)
+	if cfg.Source == nil {
+		return nil, fmt.Errorf("core: nil source")
 	}
+	s.src = cfg.Source
+	s.sp = cfg.Source.Space()
+	if s.sp == nil {
+		return nil, fmt.Errorf("core: source has nil space")
+	}
+	if s.strat == nil {
+		return nil, fmt.Errorf("core: nil strategy")
+	}
+	n := s.src.Len()
 	if n < p.NInit {
 		return nil, fmt.Errorf("core: pool size %d smaller than NInit %d", n, p.NInit)
 	}
@@ -283,17 +262,9 @@ func newSession(cfg SessionConfig, r *rng.RNG) (*Session, error) {
 		return nil, fmt.Errorf("core: NInit %d exceeds NMax %d", p.NInit, p.NMax)
 	}
 
-	if s.src != nil {
-		s.taken = make([]int, 0, p.NMax)
-		if p.WarmUpdate && p.StreamCacheMB >= 0 {
-			s.cache = pool.NewScanCache(int64(p.StreamCacheMB) << 20)
-		}
-	} else {
-		s.poolX = s.sp.EncodeAll(s.pl)
-		s.remaining = make([]int, len(s.pl))
-		for i := range s.remaining {
-			s.remaining[i] = i
-		}
+	s.taken = make([]int, 0, p.NMax)
+	if p.WarmUpdate && p.StreamCacheMB >= 0 {
+		s.cache = pool.NewScanCache(int64(p.StreamCacheMB) << 20)
 	}
 	s.features = s.sp.Features()
 	s.trainX = make([][]float64, 0, p.NMax)
@@ -389,24 +360,14 @@ func (s *Session) Ask(ctx context.Context) ([]space.Config, error) {
 // generator draw and labeling order as the historical coldStart.
 func (s *Session) askCold() ([]space.Config, error) {
 	s.cur = IterStats{Iteration: 0}
-	var items []pendingItem
-	if s.src != nil {
-		initSel := s.r.Sample(s.src.Len(), s.p.NInit)
-		cfgs, err := s.fetchConfigs(initSel)
-		if err != nil {
-			return nil, s.fail(fmt.Errorf("core: cold-start fetch: %w", err))
-		}
-		items = make([]pendingItem, len(initSel))
-		for i, g := range initSel {
-			items[i] = pendingItem{cfg: cfgs[i], idx: g}
-		}
-	} else {
-		initSel := s.r.Sample(len(s.remaining), s.p.NInit)
-		items = make([]pendingItem, len(initSel))
-		for i, k := range initSel {
-			idx := s.remaining[k]
-			items[i] = pendingItem{cfg: s.pl[idx], idx: idx}
-		}
+	initSel := s.r.Sample(s.src.Len(), s.p.NInit)
+	cfgs, err := s.fetchConfigs(initSel)
+	if err != nil {
+		return nil, s.fail(fmt.Errorf("core: cold-start fetch: %w", err))
+	}
+	items := make([]pendingItem, len(initSel))
+	for i, g := range initSel {
+		items[i] = pendingItem{cfg: cfgs[i], idx: g}
 	}
 	return s.stage(items), nil
 }
@@ -421,7 +382,7 @@ func (s *Session) askLoop(ctx context.Context) ([]space.Config, error) {
 		return nil, fmt.Errorf("core: interrupted after %d iterations (%d labels): %w",
 			s.iter, len(s.res.TrainY), err)
 	}
-	remaining := s.remainingCount()
+	remaining := s.src.Len() - len(s.taken)
 	if remaining == 0 {
 		return nil, ErrPoolExhausted
 	}
@@ -432,18 +393,7 @@ func (s *Session) askLoop(ctx context.Context) ([]space.Config, error) {
 	if rem := s.p.NMax - len(s.res.TrainY); batch > rem {
 		batch = rem
 	}
-	if s.src != nil {
-		return s.selectStream(batch, remaining)
-	}
-	return s.selectPool(batch)
-}
-
-// remainingCount is the unlabeled pool size.
-func (s *Session) remainingCount() int {
-	if s.src != nil {
-		return s.src.Len() - len(s.taken)
-	}
-	return len(s.remaining)
+	return s.selectBatch(batch, remaining)
 }
 
 // bestY is the best (smallest) label so far; only valid after the cold
@@ -458,58 +408,13 @@ func (s *Session) bestY() float64 {
 	return best
 }
 
-// selectPool runs the in-memory selection of one iteration and stages
-// the chosen batch.
-func (s *Session) selectPool(batch int) ([]space.Config, error) {
+// selectBatch runs the selection of one iteration — a sharded scan
+// reduced by the strategy — and stages the chosen batch.
+func (s *Session) selectBatch(batch, remaining int) ([]space.Config, error) {
 	selStart := time.Now()
-	cand := &Candidates{Rand: s.r}
-	if pp, ok := s.model.(PoolPredictor); ok {
-		// Cached scoring path: no candidate-matrix rebuild, and after a
-		// warm Update only refreshed trees re-predict.
-		pp.BindPool(s.poolX)
-		cand.Pool, cand.Rows = s.poolX, s.remaining
-		cand.Mu, cand.Sigma = pp.PredictPool(s.remaining)
-		s.cur.PoolCached = true
-	} else {
-		candX := make([][]float64, len(s.remaining))
-		for i, idx := range s.remaining {
-			candX[i] = s.poolX[idx]
-		}
-		cand.X = candX
-		cand.Mu, cand.Sigma = s.model.PredictBatch(candX)
-	}
-	cand.BestY = s.bestY()
-	sel := s.strat.Select(cand, batch)
-	s.cur.SelectTime = time.Since(selStart)
-	if len(sel) == 0 {
-		return nil, s.fail(fmt.Errorf("core: strategy %q selected nothing at iteration %d", s.strat.Name(), s.iter))
-	}
-	items := make([]pendingItem, 0, len(sel))
-	seen := make(map[int]bool, len(sel))
-	for _, k := range sel {
-		if k < 0 || k >= len(s.remaining) {
-			return nil, s.fail(fmt.Errorf("core: strategy %q returned out-of-range index %d", s.strat.Name(), k))
-		}
-		idx := s.remaining[k]
-		if seen[idx] {
-			return nil, s.fail(fmt.Errorf("core: strategy %q returned duplicate index %d", s.strat.Name(), k))
-		}
-		seen[idx] = true
-		items = append(items, pendingItem{
-			cfg: s.pl[idx], x: s.poolX[idx], idx: idx,
-			mu: cand.Mu[k], sigma: cand.Sigma[k], guarded: true,
-		})
-	}
-	return s.stage(items), nil
-}
-
-// selectStream runs the streamed selection of one iteration — a sharded
-// scan reduced by the strategy — and stages the chosen batch.
-func (s *Session) selectStream(batch, remaining int) ([]space.Config, error) {
-	selStart := time.Now()
-	sel, err := s.ss.SelectStream(&poolStream{s: s, bestY: s.bestY()}, batch)
+	sel, err := s.strat.SelectStream(&poolStream{s: s, bestY: s.bestY()}, batch)
 	if err != nil {
-		return nil, s.fail(fmt.Errorf("core: streaming selection at iteration %d: %w", s.iter, err))
+		return nil, s.fail(fmt.Errorf("core: selection at iteration %d: %w", s.iter, err))
 	}
 	s.cur.SelectTime = time.Since(selStart)
 	if len(sel) == 0 {
@@ -731,16 +636,8 @@ func (s *Session) billGuard(cost float64) {
 // telemetry, observer, checkpoint, and the phase transition.
 func (s *Session) completeBatch() error {
 	s.cur.EvalTime = time.Since(s.evalStart)
-	if s.src != nil {
-		for _, g := range s.batchIdx {
-			s.markTaken(g)
-		}
-	} else {
-		tk := make(map[int]bool, len(s.batchIdx))
-		for _, idx := range s.batchIdx {
-			tk[idx] = true
-		}
-		s.remaining = compact(s.remaining, tk)
+	for _, g := range s.batchIdx {
+		s.markTaken(g)
 	}
 
 	cold := s.cur.Iteration == 0

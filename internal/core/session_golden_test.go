@@ -21,8 +21,9 @@ import (
 // labels, selections, telemetry counters, RNG stream position, and the
 // snapshot wire format — is pinned to goldens captured from the
 // pre-refactor monolithic Run/RunStream loops. The ask-tell Session
-// rebuild must reproduce them bit for bit for all 8 strategies, in both
-// the materialized and the streamed mode, and from a resume at every
+// rebuild must reproduce them bit for bit for all 8 strategies, over a
+// materialized pool (the "run" cells: Run over a pool.Slice) and a
+// lazily generated one (the "stream" cells), and from a resume at every
 // checkpoint prefix.
 //
 // Regenerate with SESSION_GOLDEN_UPDATE=1 (only legitimate when the

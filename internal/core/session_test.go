@@ -234,3 +234,41 @@ func TestSessionHostileLabelSanitization(t *testing.T) {
 		t.Fatalf("hostile label fields leaked into telemetry: %+v", tel)
 	}
 }
+
+// TestSessionPoolCachedTelemetry pins IterStats.PoolCached: it marks
+// iterations whose scan the cross-scan cache served, so a warm-update
+// run sets it on every loop iteration and a cold-refit run (no cache)
+// never does; the cold start scans nothing and is never marked.
+func TestSessionPoolCachedTelemetry(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		p := sessionParams()
+		p.WarmUpdate = warm
+		s, label := sessionFixture(t, p, nil)
+		for !s.Done() {
+			batch, err := s.Ask(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := make([]Label, len(batch))
+			for i, c := range batch {
+				labels[i] = Label{Y: label(c)}
+			}
+			if _, err := s.Tell(context.Background(), labels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := s.Result()
+		for _, st := range res.Stats {
+			if want := warm && st.Iteration > 0; st.PoolCached != want {
+				t.Fatalf("warm=%v iteration %d: PoolCached=%v, want %v", warm, st.Iteration, st.PoolCached, want)
+			}
+		}
+		want := 0
+		if warm {
+			want = res.Iterations
+		}
+		if got := res.Telemetry().CachedIterations; got != want {
+			t.Fatalf("warm=%v: %d cached iterations, want %d", warm, got, want)
+		}
+	}
+}

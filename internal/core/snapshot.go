@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/forest"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -50,36 +51,37 @@ func checkSnapshotVersion(v int) error {
 
 // Snapshot is the complete serializable state of a run at an iteration
 // boundary. Together with the inputs that are regenerated
-// deterministically by the caller (the space, the pool, the evaluator,
-// the strategy, the params), it is sufficient for Resume to continue
-// the run bit-identically — same labels, same selections, same RNG
-// stream position — as if it had never stopped.
+// deterministically by the caller (the pool source, the evaluator, the
+// strategy, the params), it is sufficient for Resume/ResumeStream to
+// continue the run bit-identically — same labels, same selections, same
+// RNG stream position — as if it had never stopped.
 //
 // The pool itself is not stored (it can be huge and is deterministic
-// from the caller's seed); PoolSize and PoolHash fingerprint it so
-// Resume can reject a mismatched pool instead of silently diverging.
+// from the caller's seed); PoolSize and PoolHash fingerprint it so a
+// resume can reject a mismatched pool instead of silently diverging.
 type Snapshot struct {
 	Version   int `json:"version"`
 	Iteration int `json:"iteration"`
 
-	// PoolSize / PoolHash fingerprint the pool the run was started with.
+	// PoolSize / PoolHash fingerprint the pool the run was started with:
+	// PoolHash is the source's Fingerprint.
 	PoolSize int    `json:"pool_size"`
 	PoolHash uint64 `json:"pool_hash"`
 
-	// Remaining is the unlabeled pool membership, as indices into the
-	// original pool, in engine order. Streamed runs leave it nil: their
-	// membership is the complement of Taken, which scales with labels
-	// collected instead of pool size.
+	// Remaining is the legacy membership representation, written only
+	// by the retired in-memory engine: the unlabeled pool indices in
+	// ascending order, with PoolHash the FNV-1a of the pool's level
+	// indices (legacyPoolHash). Such snapshots still resume — their
+	// membership is converted to Taken. The engine leaves it nil.
 	Remaining []int `json:"remaining"`
 
-	// Streamed marks a snapshot taken by RunStream. Such snapshots store
-	// Taken instead of Remaining, fingerprint the candidate source in
-	// PoolHash, and resume via ResumeStream. Both fields are additive to
-	// the version-1 format: pre-streaming snapshots load unchanged.
+	// Streamed marks the Taken representation every snapshot is now
+	// written in; legacy in-memory snapshots lack it. Both fields are
+	// additive to the version-1 format.
 	Streamed bool `json:"streamed,omitempty"`
 
 	// Taken is the sorted set of global source indices already removed
-	// from the pool of a streamed run.
+	// from the pool.
 	Taken []int `json:"taken,omitempty"`
 
 	// TrainConfigs / TrainY are the labeled set in labeling order.
@@ -114,8 +116,10 @@ type Snapshot struct {
 	Service json.RawMessage `json:"service,omitempty"`
 }
 
-// poolHash fingerprints a pool with FNV-1a over its level indices.
-func poolHash(pool []space.Config) uint64 {
+// legacyPoolHash is the pool fingerprint legacy in-memory snapshots
+// carry: FNV-1a over the pool length and every config's length and level
+// indices, folded here over the source's candidate sequence.
+func legacyPoolHash(src pool.Source) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -125,14 +129,49 @@ func poolHash(pool []space.Config) uint64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(len(pool)))
-	for _, c := range pool {
-		mix(uint64(len(c)))
-		for _, lvl := range c {
-			mix(uint64(int64(lvl)))
+	mix(uint64(src.Len()))
+	d := src.Space().NumParams()
+	buf := make([]space.Config, 1024)
+	for i := range buf {
+		buf[i] = make(space.Config, d)
+	}
+	src.Reset()
+	for n := src.Next(buf); n > 0; n = src.Next(buf) {
+		for _, c := range buf[:n] {
+			mix(uint64(len(c)))
+			for _, lvl := range c {
+				mix(uint64(int64(lvl)))
+			}
 		}
 	}
 	return h
+}
+
+// legacyTaken converts a legacy snapshot's Remaining membership into the
+// Taken set: the complement of Remaining in [0, n). Remaining must be
+// ascending and unique, as the in-memory engine always kept it.
+func legacyTaken(remaining []int, n int) ([]int, error) {
+	if len(remaining) > n {
+		return nil, fmt.Errorf("core: snapshot remaining set has %d entries for a pool of %d", len(remaining), n)
+	}
+	taken := make([]int, 0, n-len(remaining))
+	next := 0
+	for i, idx := range remaining {
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("core: snapshot remaining index %d out of pool range", idx)
+		}
+		if i > 0 && idx <= remaining[i-1] {
+			return nil, fmt.Errorf("core: snapshot remaining set not ascending and unique at %d", i)
+		}
+		for ; next < idx; next++ {
+			taken = append(taken, next)
+		}
+		next = idx + 1
+	}
+	for ; next < n; next++ {
+		taken = append(taken, next)
+	}
+	return taken, nil
 }
 
 // checkpoint hands a snapshot to the configured sink when due: after
@@ -193,6 +232,10 @@ func (s *Session) snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		Version:      snapshotVersion,
 		Iteration:    s.iter,
+		PoolSize:     s.src.Len(),
+		PoolHash:     s.src.Fingerprint(),
+		Streamed:     true,
+		Taken:        append([]int(nil), s.taken...),
 		TrainConfigs: append([]space.Config(nil), s.res.TrainConfigs...),
 		TrainY:       append([]float64(nil), s.res.TrainY...),
 		RNG:          s.r.State(),
@@ -206,16 +249,6 @@ func (s *Session) snapshot() (*Snapshot, error) {
 		snap.Version = snapshotVersionService
 		snap.Service = append(json.RawMessage(nil), s.service...)
 	}
-	if s.src != nil {
-		snap.Streamed = true
-		snap.PoolSize = s.src.Len()
-		snap.PoolHash = s.src.Fingerprint()
-		snap.Taken = append([]int(nil), s.taken...)
-	} else {
-		snap.PoolSize = len(s.pl)
-		snap.PoolHash = poolHash(s.pl)
-		snap.Remaining = append([]int(nil), s.remaining...)
-	}
 	if sev, ok := s.ev.(StatefulEvaluator); ok {
 		st := sev.EvaluatorState()
 		snap.Evaluator = &st
@@ -223,7 +256,7 @@ func (s *Session) snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// defaultModelLoader is the Resume/ResumeStream model fallback, matching
+// defaultModelLoader is the resume model fallback, matching
 // the default forest Fitter.
 func defaultModelLoader(data []byte) (Model, error) {
 	return forest.Load(bytes.NewReader(data))
@@ -231,8 +264,8 @@ func defaultModelLoader(data []byte) (Model, error) {
 
 // ResumeSession rebuilds a Session from a Snapshot at the iteration
 // boundary it was taken at. The configuration supplies the regenerated
-// deterministic inputs (pool or source — validated against the
-// snapshot's fingerprint — strategy and params, which must match the
+// deterministic inputs (the source — validated against the snapshot's
+// fingerprint — strategy and params, which must match the
 // original run's); the snapshot restores the labeled set, pool
 // membership, the generator, the fitted model and, when present, the
 // evaluator's noise stream (via SessionConfig.Evaluator). The
@@ -245,12 +278,6 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	if err := checkSnapshotVersion(snap.Version); err != nil {
 		return nil, err
 	}
-	if snap.Streamed && cfg.Source == nil {
-		return nil, fmt.Errorf("core: snapshot was taken by a streamed run; use a Source to resume it")
-	}
-	if !snap.Streamed && cfg.Source != nil {
-		return nil, fmt.Errorf("core: snapshot was taken by an in-memory run; use a Pool to resume it")
-	}
 	if cfg.Service == nil {
 		cfg.Service = snap.Service
 	}
@@ -258,19 +285,29 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.src != nil {
-		if s.src.Len() != snap.PoolSize {
-			return nil, fmt.Errorf("core: source size %d does not match snapshot's %d", s.src.Len(), snap.PoolSize)
-		}
+	n := s.src.Len()
+	if n != snap.PoolSize {
+		return nil, fmt.Errorf("core: pool size %d does not match snapshot's %d", n, snap.PoolSize)
+	}
+	taken := snap.Taken
+	if snap.Streamed {
 		if h := s.src.Fingerprint(); h != snap.PoolHash {
 			return nil, fmt.Errorf("core: source fingerprint %#x does not match snapshot's %#x (different source or seed)", h, snap.PoolHash)
 		}
-	} else {
-		if len(s.pl) != snap.PoolSize {
-			return nil, fmt.Errorf("core: pool size %d does not match snapshot's %d", len(s.pl), snap.PoolSize)
+		for i, g := range taken {
+			if g < 0 || g >= n {
+				return nil, fmt.Errorf("core: snapshot taken index %d out of source range", g)
+			}
+			if i > 0 && g <= taken[i-1] {
+				return nil, fmt.Errorf("core: snapshot taken set not sorted and unique at %d", i)
+			}
 		}
-		if h := poolHash(s.pl); h != snap.PoolHash {
+	} else {
+		if h := legacyPoolHash(s.src); h != snap.PoolHash {
 			return nil, fmt.Errorf("core: pool hash %#x does not match snapshot's %#x (different pool or seed)", h, snap.PoolHash)
+		}
+		if taken, err = legacyTaken(snap.Remaining, n); err != nil {
+			return nil, err
 		}
 	}
 	if len(snap.TrainConfigs) != len(snap.TrainY) {
@@ -278,22 +315,6 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	}
 	if len(snap.TrainY) == 0 || len(snap.TrainY) > s.p.NMax {
 		return nil, fmt.Errorf("core: snapshot labeled-set size %d outside (0, NMax=%d]", len(snap.TrainY), s.p.NMax)
-	}
-	if s.src != nil {
-		for i, g := range snap.Taken {
-			if g < 0 || g >= s.src.Len() {
-				return nil, fmt.Errorf("core: snapshot taken index %d out of source range", g)
-			}
-			if i > 0 && g <= snap.Taken[i-1] {
-				return nil, fmt.Errorf("core: snapshot taken set not sorted and unique at %d", i)
-			}
-		}
-	} else {
-		for _, idx := range snap.Remaining {
-			if idx < 0 || idx >= len(s.pl) {
-				return nil, fmt.Errorf("core: snapshot remaining index %d out of pool range", idx)
-			}
-		}
 	}
 
 	r, err := rng.FromState(snap.RNG)
@@ -331,11 +352,7 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 		Iterations:   snap.Iteration,
 		Model:        model,
 	}
-	if s.src != nil {
-		s.taken = append(s.taken[:0], snap.Taken...)
-	} else {
-		s.remaining = append(s.remaining[:0], snap.Remaining...)
-	}
+	s.taken = append(s.taken[:0], taken...)
 	for _, c := range snap.TrainConfigs {
 		s.trainX = append(s.trainX, s.sp.Encode(c))
 	}
@@ -361,28 +378,12 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 // run — and Resume restores the rest from the snapshot: the labeled
 // set, pool membership, the loop generator, the fitted model (via
 // params.ModelLoader, defaulting to the forest format) and, for
-// StatefulEvaluator evaluators, the evaluator's noise stream.
-func Resume(ctx context.Context, snap *Snapshot, sp *space.Space, pool []space.Config, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: nil snapshot")
-	}
-	if err := checkSnapshotVersion(snap.Version); err != nil {
-		return nil, err
-	}
-	if snap.Streamed {
-		return nil, fmt.Errorf("core: snapshot was taken by a streamed run; use ResumeStream")
-	}
+// StatefulEvaluator evaluators, the evaluator's noise stream. It is
+// ResumeStream over pool.NewSlice(sp, configs), and also resumes legacy
+// snapshots written by the retired in-memory engine.
+func Resume(ctx context.Context, snap *Snapshot, sp *space.Space, configs []space.Config, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("core: nil space")
 	}
-	if ev == nil || strat == nil {
-		return nil, fmt.Errorf("core: nil evaluator or strategy")
-	}
-	s, err := ResumeSession(snap, SessionConfig{
-		Space: sp, Pool: pool, Strategy: strat, Params: params, Observer: obs, Evaluator: ev,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return driveSession(ctx, s, ev)
+	return ResumeStream(ctx, snap, pool.NewSlice(sp, configs), ev, strat, params, obs)
 }

@@ -19,7 +19,7 @@ func TestSnapshotVersionTolerance(t *testing.T) {
 	ctx := context.Background()
 	sp := goldenSpace()
 
-	// A version-1 snapshot from a plain in-memory run.
+	// A version-1 snapshot from a plain Run.
 	poolCfgs := sp.SampleConfigs(rng.New(401), 80)
 	ev := goldenEvaluator(sp)
 	var v1 *Snapshot
@@ -113,7 +113,7 @@ func TestSnapshotVersionTolerance(t *testing.T) {
 		if _, err := ResumeStream(ctx, &badStream, src, ev, PWU{Alpha: 0.1}, Params{NMax: 15}, nil); !errors.As(err, &verr) {
 			t.Fatalf("ResumeStream(version=%d): %v", v, err)
 		}
-		if _, err := ResumeSession(&bad, SessionConfig{Space: sp, Pool: poolCfgs, Strategy: PWU{Alpha: 0.1}, Params: Params{NMax: 15}}); !errors.As(err, &verr) {
+		if _, err := ResumeSession(&bad, SessionConfig{Source: pool.NewSlice(sp, poolCfgs), Strategy: PWU{Alpha: 0.1}, Params: Params{NMax: 15}}); !errors.As(err, &verr) {
 			t.Fatalf("ResumeSession(version=%d): %v", v, err)
 		}
 	}

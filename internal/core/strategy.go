@@ -3,66 +3,52 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
-// Candidates is what a Strategy sees each iteration: the remaining pool's
-// feature vectors with the current model's beliefs about them. Indices
-// into these slices are "candidate indices"; Select returns them.
-//
-// Feature vectors come in one of two forms: a materialised matrix X, or
-// an indexed view (Pool, Rows) where candidate i is Pool[Rows[i]] — the
-// form core.Run uses on the cached scoring path so the candidate matrix
-// is never rebuilt. Strategies access vectors through XAt, which handles
-// both.
-type Candidates struct {
-	X         [][]float64
-	Mu, Sigma []float64
+// PoolStream is what a Strategy sees each iteration: the remaining
+// candidate pool as a scored stream, never a materialized matrix.
+// Candidate indices ("ordinals") are the candidate's rank among the
+// remaining candidates in source order; SelectStream returns them.
+type PoolStream interface {
+	// Len returns the number of remaining candidates.
+	Len() int
 
-	// Pool and Rows are the indexed alternative to X: the full pool
-	// matrix and the pool-row index of each candidate. Ignored when X
-	// is set.
-	Pool [][]float64
-	Rows []int
+	// BestY returns the best (smallest) observed training label so far,
+	// the incumbent EI improves upon.
+	BestY() float64
 
-	// BestY is the best (smallest) observed training label so far, the
-	// incumbent that acquisition functions like EI improve upon.
-	BestY float64
+	// Rand returns the run's generator, for strategies that draw (BRS,
+	// Random).
+	Rand() *rng.RNG
 
-	Rand *rng.RNG
+	// Scan streams every remaining candidate through consume exactly
+	// once, in unspecified order, with deterministic (ord, x, mu, sigma)
+	// values. consume is never called concurrently, and x is only valid
+	// during the call. Strategies may scan more than once per selection
+	// (the model is fixed, so repeated scans see identical scores).
+	Scan(consume func(ord int, x []float64, mu, sigma float64)) error
 }
 
-// Len returns the number of candidates.
-func (c *Candidates) Len() int { return len(c.Mu) }
-
-// XAt returns candidate i's feature vector.
-func (c *Candidates) XAt(i int) []float64 {
-	if c.X != nil {
-		return c.X[i]
-	}
-	return c.Pool[c.Rows[i]]
-}
-
-// Strategy picks the next batch of candidates to evaluate. The returned
-// slice must contain nBatch distinct valid candidate indices (or fewer
-// only when fewer candidates remain).
+// Strategy picks the next batch of candidates to evaluate. SelectStream
+// must return nBatch distinct valid ordinals (or fewer only when fewer
+// candidates remain), and must be deterministic given the stream's
+// scores and generator state.
 type Strategy interface {
 	// Name identifies the strategy in tables and figures, e.g. "PWU".
 	Name() string
 
-	// Select returns the candidate indices to evaluate next.
-	Select(c *Candidates, nBatch int) []int
+	// SelectStream returns the candidate ordinals to evaluate next.
+	SelectStream(ps PoolStream, nBatch int) ([]int, error)
 }
 
-// clampBatch bounds nBatch by the candidate count. A negative request
-// clamps to 0 (an empty selection) instead of reaching the selection
-// helpers, where a negative slice bound would panic.
-func clampBatch(c *Candidates, nBatch int) int {
-	if nBatch > c.Len() {
-		nBatch = c.Len()
+// clampBatch bounds nBatch into [0, ps.Len()]. A negative request clamps
+// to 0 (an empty selection) instead of reaching the reducers.
+func clampBatch(ps PoolStream, nBatch int) int {
+	if n := ps.Len(); nBatch > n {
+		nBatch = n
 	}
 	if nBatch < 0 {
 		nBatch = 0
@@ -70,119 +56,41 @@ func clampBatch(c *Candidates, nBatch int) int {
 	return nBatch
 }
 
-// clampK bounds a selection size into [0, n]. The sort-based helpers
-// historically sliced idx[:k] unchecked, so k > len(scores) or k < 0
-// panicked; the streaming reducers naturally return min(k, n) entries,
-// and the helpers must agree with them on every input.
-func clampK(k, n int) int {
+// selectTopK runs one scan reducing score(mu, sigma) into the distinct
+// top-nBatch — the shape shared by PWU, BestPerf, MaxU, EI and CV.
+// Duplicate feature vectors only fill the batch once distinct candidates
+// run out: the paper's sampled pools over the small application spaces
+// (kripke has 2304 points, hypre 3150) contain duplicates, and a greedy
+// top-k would spend a batch on copies of one configuration whose belief
+// cannot change until the refit.
+func selectTopK(ps PoolStream, nBatch int, score func(mu, sigma float64) float64) ([]int, error) {
+	nBatch = clampBatch(ps, nBatch)
+	if nBatch == 0 {
+		return nil, nil
+	}
+	tk := pool.NewTopKDistinct(nBatch)
+	if err := ps.Scan(func(ord int, x []float64, mu, sigma float64) {
+		tk.Push(ord, score(mu, sigma), x)
+	}); err != nil {
+		return nil, err
+	}
+	return tk.Result(), nil
+}
+
+// perfCutoff computes the stage-1 performance filter size shared by PBUS
+// and BRS: ceil(frac·n), at least nBatch, at most n.
+func perfCutoff(n, nBatch int, frac, def float64) int {
+	if frac <= 0 {
+		frac = def
+	}
+	k := int(math.Ceil(float64(n) * frac))
+	if k < nBatch {
+		k = nBatch
+	}
 	if k > n {
 		k = n
 	}
-	if k < 0 {
-		k = 0
-	}
 	return k
-}
-
-// sinkNaNs returns scores with every NaN replaced by sink (−Inf for
-// top-k selection, +Inf for bottom-k). A NaN fed to sort's comparator
-// makes it non-transitive and the resulting order undefined — and NaN
-// scores do happen: a degenerate model can produce σ = NaN, and PWU
-// divides by a clamped μ. The input is never mutated; a copy is made
-// only when a NaN is actually present.
-func sinkNaNs(scores []float64, sink float64) []float64 {
-	for i, v := range scores {
-		if math.IsNaN(v) {
-			cp := make([]float64, len(scores))
-			copy(cp, scores)
-			for j := i; j < len(cp); j++ {
-				if math.IsNaN(cp[j]) {
-					cp[j] = sink
-				}
-			}
-			return cp
-		}
-	}
-	return scores
-}
-
-// topKByScore returns the indices of the k largest scores (ties broken by
-// lower index, deterministically; NaN scores rank last). k is clamped
-// into [0, len(scores)].
-func topKByScore(scores []float64, k int) []int {
-	k = clampK(k, len(scores))
-	scores = sinkNaNs(scores, math.Inf(-1))
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	return idx[:k]
-}
-
-// xKey builds a hashable key for a feature vector, used to recognise
-// pool duplicates during batch selection. It delegates to the streaming
-// reducers' key so the two selection paths can never disagree on what
-// counts as a duplicate.
-func xKey(x []float64) string {
-	return pool.VectorKey(x)
-}
-
-// topKDistinctByScore returns the k highest-scoring candidate indices
-// while avoiding duplicate feature vectors within the batch. On the
-// small application spaces (kripke has 2304 points, hypre 3150) the
-// paper's sampled pool necessarily contains duplicates; with batch sizes
-// above 1 a purely greedy top-k would spend the whole batch on copies of
-// one configuration whose model belief cannot change until the refit.
-// Duplicates are only used to fill the batch when distinct candidates
-// run out. With nBatch = 1 (the paper's setting) this is identical to
-// topKByScore. NaN scores rank last. k is clamped into [0, len(scores)].
-func topKDistinctByScore(scores []float64, c *Candidates, k int) []int {
-	k = clampK(k, len(scores))
-	scores = sinkNaNs(scores, math.Inf(-1))
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	if k <= 1 {
-		return idx[:k]
-	}
-	out := make([]int, 0, k)
-	seen := make(map[string]bool, k)
-	var dups []int
-	for _, i := range idx {
-		if len(out) == k {
-			return out
-		}
-		key := xKey(c.XAt(i))
-		if seen[key] {
-			dups = append(dups, i)
-			continue
-		}
-		seen[key] = true
-		out = append(out, i)
-	}
-	for _, i := range dups {
-		if len(out) == k {
-			break
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// bottomKByScore returns the indices of the k smallest scores; NaN
-// scores rank last. k is clamped into [0, len(scores)].
-func bottomKByScore(scores []float64, k int) []int {
-	k = clampK(k, len(scores))
-	scores = sinkNaNs(scores, math.Inf(1))
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	return idx[:k]
 }
 
 // PWU is the paper's Performance Weighted Uncertainty strategy (Eq. 1):
@@ -212,15 +120,10 @@ func (p PWU) Score(mu, sigma float64) float64 {
 	return sigma / math.Pow(mu, 1-p.Alpha)
 }
 
-// Select implements Strategy: the nBatch candidates with the highest PWU
-// score.
-func (p PWU) Select(c *Candidates, nBatch int) []int {
-	nBatch = clampBatch(c, nBatch)
-	scores := make([]float64, c.Len())
-	for i := range scores {
-		scores[i] = p.Score(c.Mu[i], c.Sigma[i])
-	}
-	return topKDistinctByScore(scores, c, nBatch)
+// SelectStream implements Strategy: the nBatch candidates with the
+// highest PWU score.
+func (p PWU) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	return selectTopK(ps, nBatch, p.Score)
 }
 
 // PBUS is the Performance Biased Uncertainty Sampling baseline of
@@ -237,32 +140,43 @@ type PBUS struct {
 // Name implements Strategy.
 func (p PBUS) Name() string { return "PBUS" }
 
-// Select implements Strategy.
-func (p PBUS) Select(c *Candidates, nBatch int) []int {
-	nBatch = clampBatch(c, nBatch)
-	frac := p.PerfFrac
-	if frac <= 0 {
-		frac = 0.10
+// SelectStream implements Strategy. PBUS scans twice: pass 1 reduces
+// the bottom-k' of μ to its boundary (the k'-th smallest under the
+// (sunk μ, ordinal) order), pass 2 selects the most uncertain candidates
+// inside that boundary, de-duplicated across the batch. The model is
+// fixed across passes, so pass 2 sees the exact μ values pass 1 ranked —
+// membership by (μ, ordinal) comparison against the boundary is the
+// stage-1 candidate set without storing it.
+func (p PBUS) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	nBatch = clampBatch(ps, nBatch)
+	if nBatch == 0 {
+		return nil, nil
 	}
-	k := int(math.Ceil(float64(c.Len()) * frac))
-	if k < nBatch {
-		k = nBatch
+	k := perfCutoff(ps.Len(), nBatch, p.PerfFrac, 0.10)
+	bk := pool.NewBottomK(k)
+	if err := ps.Scan(func(ord int, _ []float64, mu, _ float64) {
+		bk.Push(ord, mu, nil)
+	}); err != nil {
+		return nil, err
 	}
-	if k > c.Len() {
-		k = c.Len()
+	bScore, bOrd, ok := bk.Worst()
+	if !ok {
+		return nil, nil
 	}
-	// Stage 1: top-k by performance (smallest predicted time).
-	cand := bottomKByScore(c.Mu, k)
-	// Stage 2: most uncertain within the candidate set, de-duplicated
-	// across the batch.
-	scores := make([]float64, c.Len())
-	for i := range scores {
-		scores[i] = math.Inf(-1)
+	tk := pool.NewTopKDistinct(nBatch)
+	if err := ps.Scan(func(ord int, x []float64, mu, sigma float64) {
+		if math.IsNaN(mu) {
+			mu = math.Inf(1) // the bottom-k sink, so NaN-μ candidates rank last
+		}
+		score := math.Inf(-1)
+		if mu < bScore || (mu == bScore && ord <= bOrd) {
+			score = sigma
+		}
+		tk.Push(ord, score, x)
+	}); err != nil {
+		return nil, err
 	}
-	for _, i := range cand {
-		scores[i] = c.Sigma[i]
-	}
-	return topKDistinctByScore(scores, c, nBatch)
+	return tk.Result(), nil
 }
 
 // BRS is Biased Random Sampling: uniform among the top TopFrac of
@@ -276,27 +190,29 @@ type BRS struct {
 // Name implements Strategy.
 func (b BRS) Name() string { return "BRS" }
 
-// Select implements Strategy.
-func (b BRS) Select(c *Candidates, nBatch int) []int {
-	nBatch = clampBatch(c, nBatch)
-	frac := b.TopFrac
-	if frac <= 0 {
-		frac = 0.10
+// SelectStream implements Strategy. BRS keeps the bottom-k'-by-μ
+// candidate list via a bounded reducer, then samples uniformly from it.
+// The reducer holds k' = ceil(frac·n) entries — the strategy is defined
+// over that subset, so O(frac·n) selection state is inherent to it.
+func (b BRS) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	nBatch = clampBatch(ps, nBatch)
+	if nBatch == 0 {
+		return nil, nil
 	}
-	k := int(math.Ceil(float64(c.Len()) * frac))
-	if k < nBatch {
-		k = nBatch
+	k := perfCutoff(ps.Len(), nBatch, b.TopFrac, 0.10)
+	bk := pool.NewBottomK(k)
+	if err := ps.Scan(func(ord int, _ []float64, mu, _ float64) {
+		bk.Push(ord, mu, nil)
+	}); err != nil {
+		return nil, err
 	}
-	if k > c.Len() {
-		k = c.Len()
-	}
-	cand := bottomKByScore(c.Mu, k)
-	pick := c.Rand.Sample(len(cand), nBatch)
+	cand := bk.Result()
+	pick := ps.Rand().Sample(len(cand), nBatch)
 	out := make([]int, nBatch)
 	for i, j := range pick {
 		out[i] = cand[j]
 	}
-	return out
+	return out, nil
 }
 
 // BestPerf greedily evaluates the candidates with the best (smallest)
@@ -306,14 +222,9 @@ type BestPerf struct{}
 // Name implements Strategy.
 func (BestPerf) Name() string { return "BestPerf" }
 
-// Select implements Strategy.
-func (BestPerf) Select(c *Candidates, nBatch int) []int {
-	nBatch = clampBatch(c, nBatch)
-	scores := make([]float64, c.Len())
-	for i := range scores {
-		scores[i] = -c.Mu[i]
-	}
-	return topKDistinctByScore(scores, c, nBatch)
+// SelectStream implements Strategy.
+func (BestPerf) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	return selectTopK(ps, nBatch, func(mu, _ float64) float64 { return -mu })
 }
 
 // MaxU evaluates the candidates with the largest uncertainty — the
@@ -323,9 +234,9 @@ type MaxU struct{}
 // Name implements Strategy.
 func (MaxU) Name() string { return "MaxU" }
 
-// Select implements Strategy.
-func (MaxU) Select(c *Candidates, nBatch int) []int {
-	return topKDistinctByScore(c.Sigma, c, clampBatch(c, nBatch))
+// SelectStream implements Strategy.
+func (MaxU) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	return selectTopK(ps, nBatch, func(_, sigma float64) float64 { return sigma })
 }
 
 // Random selects uniformly from the remaining pool — the traditional
@@ -335,9 +246,10 @@ type Random struct{}
 // Name implements Strategy.
 func (Random) Name() string { return "Random" }
 
-// Select implements Strategy.
-func (Random) Select(c *Candidates, nBatch int) []int {
-	return c.Rand.Sample(c.Len(), clampBatch(c, nBatch))
+// SelectStream implements Strategy. Random needs no scan at all — it
+// draws ordinals directly from the generator.
+func (Random) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	return ps.Rand().Sample(ps.Len(), clampBatch(ps, nBatch)), nil
 }
 
 // EI is the Expected Improvement acquisition of sequential model-based
@@ -369,14 +281,12 @@ func (e EI) Score(mu, sigma, bestY float64) float64 {
 	return improve*normCDF(z) + sigma*normPDF(z)
 }
 
-// Select implements Strategy.
-func (e EI) Select(c *Candidates, nBatch int) []int {
-	nBatch = clampBatch(c, nBatch)
-	scores := make([]float64, c.Len())
-	for i := range scores {
-		scores[i] = e.Score(c.Mu[i], c.Sigma[i], c.BestY)
-	}
-	return topKDistinctByScore(scores, c, nBatch)
+// SelectStream implements Strategy.
+func (e EI) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	bestY := ps.BestY()
+	return selectTopK(ps, nBatch, func(mu, sigma float64) float64 {
+		return e.Score(mu, sigma, bestY)
+	})
 }
 
 // normCDF is the standard normal CDF.
@@ -396,9 +306,9 @@ type CV struct{}
 // Name implements Strategy.
 func (CV) Name() string { return "CV" }
 
-// Select implements Strategy.
-func (CV) Select(c *Candidates, nBatch int) []int {
-	return PWU{Alpha: 0}.Select(c, nBatch)
+// SelectStream implements Strategy.
+func (CV) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
+	return PWU{Alpha: 0}.SelectStream(ps, nBatch)
 }
 
 // ByName returns the strategy registered under name, configured with the

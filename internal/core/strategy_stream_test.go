@@ -8,9 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// selectionContractCases is the shared fixture both selection paths run
-// against: the in-memory sort-based helpers and the streaming reducers
-// must produce identical output on every row, including the edge cases
+// selectionContractCases is the shared fixture the sort-based oracle
+// helpers and the streaming reducers run against: both must produce
+// identical output on every row, including the edge cases
 // that used to panic the helpers (k beyond len, negative k) and the
 // NaN/tie/duplicate corners.
 var selectionContractCases = []struct {
@@ -65,9 +65,9 @@ func contractCandidates(scores []float64, vecIDs []int) *Candidates {
 	return &Candidates{X: X, Mu: scores, Sigma: scores}
 }
 
-// TestSelectionContractSharedTable runs the in-memory helpers and the
-// streaming reducers against the same table and requires identical
-// output — the satellite bugfix pin: both paths share one contract.
+// TestSelectionContractSharedTable runs the sort-based oracle helpers
+// and the streaming reducers against the same table and requires
+// identical output: the reducers implement the oracle's contract.
 func TestSelectionContractSharedTable(t *testing.T) {
 	for _, tc := range selectionContractCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,23 +119,6 @@ func TestSelectionHelpersClampK(t *testing.T) {
 	}
 }
 
-// memStream adapts an in-memory Candidates view to the PoolStream
-// interface: the reference implementation SelectStream is tested against.
-type memStream struct {
-	c *Candidates
-	r *rng.RNG
-}
-
-func (m *memStream) Len() int       { return m.c.Len() }
-func (m *memStream) BestY() float64 { return m.c.BestY }
-func (m *memStream) Rand() *rng.RNG { return m.r }
-func (m *memStream) Scan(consume func(ord int, x []float64, mu, sigma float64)) error {
-	for i := 0; i < m.c.Len(); i++ {
-		consume(i, m.c.XAt(i), m.c.Mu[i], m.c.Sigma[i])
-	}
-	return nil
-}
-
 func sameIdx(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -182,10 +165,10 @@ func streamContractCandidates(r *rng.RNG, n int) *Candidates {
 }
 
 // TestSelectStreamMatchesSelect: for every built-in strategy, the
-// streaming selection must return exactly the indices the in-memory
-// selection returns and leave the generator at the same stream position.
+// streaming selection must return exactly the indices the sort-based
+// oracle returns and leave the generator at the same stream position.
 func TestSelectStreamMatchesSelect(t *testing.T) {
-	strategies := []Strategy{
+	strategies := []oracleStrategy{
 		PWU{Alpha: 0.05}, PBUS{}, BRS{}, BestPerf{}, MaxU{}, Random{}, CV{}, EI{},
 	}
 	gen := rng.New(424242)
@@ -193,16 +176,12 @@ func TestSelectStreamMatchesSelect(t *testing.T) {
 		n := 1 + gen.Intn(50)
 		c := streamContractCandidates(gen, n)
 		for _, strat := range strategies {
-			ss, ok := strat.(StreamStrategy)
-			if !ok {
-				t.Fatalf("built-in strategy %s does not implement StreamStrategy", strat.Name())
-			}
 			for _, nBatch := range []int{0, 1, 3, n, n + 2, -1} {
 				seed := gen.Uint64()
 				memR, strR := rng.New(seed), rng.New(seed)
 				c.Rand = memR
 				want := strat.Select(c, nBatch)
-				got, err := ss.SelectStream(&memStream{c: c, r: strR}, nBatch)
+				got, err := strat.SelectStream(&memStream{c: c, r: strR}, nBatch)
 				if err != nil {
 					t.Fatalf("%s: SelectStream: %v", strat.Name(), err)
 				}

@@ -49,9 +49,9 @@ func streamParams() Params {
 }
 
 // TestRunStreamMatchesRun is the pool-equivalence gate in miniature:
-// for every paper strategy (plus the extension baselines), the streamed
-// engine over a lazily generated pool must reproduce the in-memory
-// engine's run bit for bit — same labels, same selections, same final
+// for every paper strategy (plus the extension baselines), a run over a
+// lazily generated pool must reproduce the run over the same pool
+// materialized (Run, a pool.Slice) bit for bit — same labels, same selections, same final
 // generator state — for every shard size and worker count.
 func TestRunStreamMatchesRun(t *testing.T) {
 	sp, ev := quadSpace(t)
@@ -139,7 +139,7 @@ func TestResumeStreamEquivalence(t *testing.T) {
 	}
 	for _, snap := range snaps {
 		if !snap.Streamed {
-			t.Fatal("streamed run produced a non-streamed snapshot")
+			t.Fatal("run produced a snapshot without the taken-set representation")
 		}
 		got, err := ResumeStream(context.Background(), snap, src, ev, PWU{Alpha: 0.05}, streamParams(), nil)
 		if err != nil {
@@ -170,21 +170,10 @@ func TestResumeStreamRejectsMismatches(t *testing.T) {
 	if _, err := ResumeStream(context.Background(), snap, pool.NewUniform(sp, 1, 81), ev, strat, streamParams(), nil); err == nil {
 		t.Fatal("wrong-size source accepted")
 	}
-	// A streamed snapshot cannot be resumed by the in-memory Resume, and
-	// an in-memory snapshot cannot be resumed by ResumeStream.
-	memPool := sp.SampleConfigs(rng.New(1), 80)
-	if _, err := Resume(context.Background(), snap, sp, memPool, ev, strat, streamParams(), nil); err == nil {
-		t.Fatal("Resume accepted a streamed snapshot")
-	}
-	var memSnap *Snapshot
-	pm := streamParams()
-	pm.CheckpointEvery = 1
-	pm.Checkpoint = func(s *Snapshot) error { memSnap = s; return nil }
-	if _, err := Run(context.Background(), sp, memPool, ev, strat, pm, rng.New(2), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeStream(context.Background(), memSnap, pool.NewUniform(sp, 1, 80), ev, strat, streamParams(), nil); err == nil {
-		t.Fatal("ResumeStream accepted an in-memory snapshot")
+	bad := *snap
+	bad.Taken = []int{3, 1}
+	if _, err := ResumeStream(context.Background(), &bad, src, ev, strat, streamParams(), nil); err == nil {
+		t.Fatal("unsorted taken set accepted")
 	}
 }
 
@@ -216,16 +205,7 @@ func TestRunStreamValidation(t *testing.T) {
 	if _, err := RunStream(context.Background(), src, ev, strat, Params{NInit: 40, NMax: 20}, r, nil); err == nil {
 		t.Fatal("NInit beyond NMax accepted")
 	}
-	if _, err := RunStream(context.Background(), src, ev, memOnlyStrategy{}, Params{NInit: 5, NMax: 10}, r, nil); err == nil {
-		t.Fatal("non-streaming strategy accepted")
-	}
 }
-
-// memOnlyStrategy implements Strategy but not StreamStrategy.
-type memOnlyStrategy struct{}
-
-func (memOnlyStrategy) Name() string                           { return "MemOnly" }
-func (memOnlyStrategy) Select(c *Candidates, nBatch int) []int { return []int{0} }
 
 // TestFetchConfigsSequentialSource: the generation-only fetch path (no
 // random access) must return the right configs for repeated and

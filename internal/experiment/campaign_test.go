@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/pool"
+	"repro/internal/rng"
 )
 
 // assertCurvesEqual compares two curve sets bit for bit (curves and
@@ -127,8 +129,9 @@ func TestCampaignDatasetCacheHits(t *testing.T) {
 }
 
 // TestCampaignWarmUpdate exercises the cached checkpoint-evaluation path
-// (PredictCached on the shared test matrix) end to end: warm-update
-// campaigns must equal warm-update sequential runs bit for bit.
+// (a pool.Scan of the shared test set through a per-repetition
+// ScanCache) end to end: warm-update campaigns must equal warm-update
+// sequential runs bit for bit.
 func TestCampaignWarmUpdate(t *testing.T) {
 	p, err := bench.ByName("atax")
 	if err != nil {
@@ -147,6 +150,52 @@ func TestCampaignWarmUpdate(t *testing.T) {
 	}
 	for i := range seq {
 		assertCurvesEqual(t, par[i], seq[i])
+	}
+}
+
+// TestWarmTestPredictMatchesBatch pins the warm checkpoint evaluation:
+// at every event of a warm-update run, testPredict's cached scan of the
+// held-out test set must equal PredictBatch bit for bit, and from the
+// first partial update on it must re-walk only the refreshed trees.
+func TestWarmTestPredictMatchesBatch(t *testing.T) {
+	p, err := bench.ByName("atax")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Smoke()
+	r := rng.New(17)
+	ds, testX, err := buildDataset(context.Background(), p, sc, 0, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := &warmTest{src: pool.NewSlice(p.Space(), ds.Test), cache: pool.NewScanCache(0)}
+	events := 0
+	obs := func(st *core.State) error {
+		events++
+		got, err := testPredict(st.Model, testX, warm)
+		if err != nil {
+			return err
+		}
+		want, _ := st.Model.PredictBatch(testX)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event %d row %d: warm testPredict %v, PredictBatch %v", events, i, got[i], want[i])
+			}
+		}
+		if cs := warm.cache.Stats(); st.Iteration > 0 && cs.StaleSlots >= sc.Forest.NumTrees {
+			t.Fatalf("event %d re-walked %d of %d trees", events, cs.StaleSlots, sc.Forest.NumTrees)
+		}
+		return nil
+	}
+	params := core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax, Forest: sc.Forest, WarmUpdate: true}
+	if _, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha}, params, r, obs); err != nil {
+		t.Fatal(err)
+	}
+	if events < 3 {
+		t.Fatalf("only %d events observed", events)
+	}
+	if cs := warm.cache.Stats(); cs.Resets != 1 || cs.Scans != events {
+		t.Fatalf("cache stats %+v over %d events, want one reset and a committed scan per event", cs, events)
 	}
 }
 

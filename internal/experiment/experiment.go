@@ -22,6 +22,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/forest"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -57,7 +58,8 @@ type Scale struct {
 	// iterations instead of refitting from scratch (see
 	// core.Params.WarmUpdate). Warm runs keep one forest alive across
 	// checkpoints, which lets the harness serve every checkpoint's
-	// test-set evaluation from the forest's per-tree prediction cache.
+	// test-set evaluation through a cross-scan score cache
+	// (pool.ScanCache) that re-walks only the refreshed trees.
 	WarmUpdate bool
 
 	// Failure is the engine's retry/timeout policy for failing or
@@ -355,19 +357,33 @@ func buildDataset(ctx context.Context, p bench.Problem, sc Scale, _ uint64, r *r
 	return ds, ds.TestX(), nil
 }
 
+// warmTest is a warm repetition's checkpoint evaluator: the held-out
+// test set as a pool source and one cross-scan cache kept across the
+// repetition's checkpoints.
+type warmTest struct {
+	src   pool.Source
+	cache *pool.ScanCache
+}
+
 // testPredict evaluates the surrogate on the held-out test matrix. Warm
-// runs keep one forest alive across checkpoints with only a few trees
-// refreshed in between, so the cached per-tree path recomputes just
-// those trees (bit-identical to PredictBatch); cold refits see a fresh
-// model at every checkpoint, where a cache could never be reused and the
-// plain batch path avoids carrying one.
-func testPredict(m core.Model, testX [][]float64, warm bool) []float64 {
-	if cp, ok := m.(core.CachedBatchPredictor); warm && ok {
-		mu, _ := cp.PredictCached(testX)
-		return mu
+// runs (warm != nil) keep one forest alive across checkpoints with only
+// a few trees refreshed in between, so the test set is scored by a
+// pool.Scan through the repetition's cache, which re-walks just those
+// trees (bit-identical to PredictBatch). Cold refits see a fresh model
+// at every checkpoint, where a cache could never be reused, and models
+// without the per-slot scorer contract cannot use one: both take the
+// plain batch path.
+func testPredict(m core.Model, testX [][]float64, warm *warmTest) ([]float64, error) {
+	sc, ok := m.(pool.SlotScorer)
+	if warm == nil || !ok {
+		mu, _ := m.PredictBatch(testX)
+		return mu, nil
 	}
-	mu, _ := m.PredictBatch(testX)
-	return mu
+	mu := make([]float64, len(testX))
+	err := pool.Scan(warm.src, sc, pool.ScanConfig{Cache: warm.cache}, func(ord int, _ []float64, m, _ float64) {
+		mu[ord] = m
+	})
+	return mu, err
 }
 
 // runOnce executes one repetition and returns the per-checkpoint RMSE@α
@@ -393,6 +409,10 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 		want[s] = true
 	}
 
+	var warm *warmTest
+	if sc.WarmUpdate {
+		warm = &warmTest{src: pool.NewSlice(p.Space(), ds.Test), cache: pool.NewScanCache(0)}
+	}
 	lastRecorded := -1
 	obs := func(st *core.State) error {
 		n := len(st.TrainY)
@@ -402,7 +422,10 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 			return nil
 		}
 		lastRecorded = n
-		pred := testPredict(st.Model, testX, sc.WarmUpdate)
+		pred, err := testPredict(st.Model, testX, warm)
+		if err != nil {
+			return err
+		}
 		rr.rmse = append(rr.rmse, metrics.RMSEAtAlpha(ds.TestY, pred, sc.Alpha))
 		rr.cc = append(rr.cc, metrics.CumulativeCost(st.TrainY))
 		return nil

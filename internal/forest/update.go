@@ -57,8 +57,8 @@ func (f *Forest) Update(X [][]float64, y []float64, r *rng.RNG) error {
 		}
 		f.trees[slot] = nt
 		f.compiled[slot] = nt.Compile()
-		// Mark the slot for the pool-prediction cache: only refreshed
-		// slots get their cached rows recomputed on the next PredictPool.
+		// Mark the slot for the cross-scan score cache: only refreshed
+		// slots get their cached panels re-walked on the next scan.
 		f.treeGen[slot]++
 	}
 	// OOB bookkeeping is not maintained across partial updates.

@@ -36,9 +36,9 @@ type ScanConfig struct {
 
 	// Skip lists global candidate indices to omit (ascending, unique) —
 	// the engine's already-labeled configurations. Ordinals passed to the
-	// consumer are ranks among the non-skipped candidates, i.e. exactly
-	// the candidate indices the in-memory engine's `remaining` view would
-	// have used.
+	// consumer are ranks among the non-skipped candidates in source
+	// order. With a Cache, Skip may only grow between scans: a row
+	// skipped by the scan that last committed has stale panels.
 	Skip []int
 
 	// Cache, when non-nil, reuses per-slot score panels across scans

@@ -12,9 +12,13 @@
 //   - Scan drives shards of a Source through a BatchScorer on a small pool
 //     of workers, each with reusable config/matrix buffers, so peak memory
 //     is O(workers × shard), not O(pool).
-//   - TopK / BottomK reduce the scored stream into exactly the selection
-//     the in-memory sort-based helpers of internal/core would have made:
-//     same NaN sinking, same index tie-breaks, same duplicate suppression.
+//   - TopK / BottomK reduce the scored stream into the selection a stable
+//     sort of the whole stream would make, in O(k) memory: NaN scores
+//     sink, ties break toward the smaller index, and duplicate feature
+//     vectors fill a batch only after distinct ones run out.
+//
+// It is the engine's only selection path: internal/core scores every
+// pool through Scan, a materialized pool included (as a Slice).
 package pool
 
 import (
@@ -70,7 +74,7 @@ type RandomAccess interface {
 }
 
 // FNV-1a, byte-at-a-time over little-endian uint64 words — the same
-// construction core uses to fingerprint materialized pools.
+// construction as the legacy pool hash of core's version-1 snapshots.
 const (
 	fnvOffset uint64 = 14695981039346656037
 	fnvPrime  uint64 = 1099511628211
@@ -262,9 +266,8 @@ func (l *LHS) Fingerprint() uint64 {
 	return fnvMix(h, uint64(l.n))
 }
 
-// Slice adapts a materialized pool to the Source interface, so the
-// streaming engine can run over small in-memory pools too (and be tested
-// for bit-identity against the in-memory engine on the same data).
+// Slice adapts a materialized pool to the Source interface: core.Run
+// scores a []space.Config pool through it.
 type Slice struct {
 	sp      *space.Space
 	configs []space.Config
@@ -302,8 +305,8 @@ func (s *Slice) Next(dst []space.Config) int {
 // At implements RandomAccess.
 func (s *Slice) At(i int, dst space.Config) { copy(dst, s.configs[i]) }
 
-// Fingerprint implements Source: FNV-1a over the level indices, the same
-// scheme core snapshots use for materialized pools.
+// Fingerprint implements Source: FNV-1a over the space shape, the length
+// and every candidate's level indices.
 func (s *Slice) Fingerprint() uint64 {
 	h := fnvMix(fnvOffset, 'S')
 	h = fingerprintSpace(h, s.sp)

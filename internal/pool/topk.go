@@ -7,8 +7,8 @@ import (
 
 // VectorKey builds a hashable key for a feature vector: the raw IEEE-754
 // bytes of every component. It is the duplicate-recognition key of batch
-// selection; internal/core's in-memory selection helpers and this
-// package's streaming reducers must agree on it byte for byte.
+// selection: two candidates are duplicates exactly when their encoded
+// feature vectors are byte-identical.
 func VectorKey(x []float64) string {
 	b := make([]byte, 0, 8*len(x))
 	for _, v := range x {
@@ -38,18 +38,19 @@ func better(a, b item) bool {
 	return a.ord < b.ord
 }
 
-// TopK reduces a stream of (ord, score) candidates into the same selection
-// the in-memory sort-based helpers of internal/core produce, in the same
-// order, using O(k) memory:
+// TopK reduces a stream of (ord, score) candidates into the selection a
+// stable sort of the whole stream would make, in the same order, using
+// O(k) memory:
 //
-//   - NaN scores sink to the losing end (topKByScore/bottomKByScore's
-//     sinkNaNs), ties break toward the smaller ordinal
-//     (sort.SliceStable over ascending indices), and Result lists the
-//     selection best-first.
-//   - In distinct mode (NewTopKDistinct), duplicate feature vectors are
-//     suppressed exactly as topKDistinctByScore does: the selection
-//     prefers the best candidate of each distinct vector, and duplicates
-//     fill the tail only when distinct vectors run out.
+//   - NaN scores sink to the losing end, ties break toward the smaller
+//     ordinal (sort.SliceStable over ascending indices), and Result
+//     lists the selection best-first.
+//   - In distinct mode (NewTopKDistinct), the selection prefers the best
+//     candidate of each distinct feature vector, and duplicates fill the
+//     tail only when distinct vectors run out.
+//
+// internal/core keeps the sort-based oracle these rules come from in its
+// tests, and pins the reducers to it.
 //
 // Candidates may be pushed in any order: the retained state is a function
 // of the candidate set only, so concurrent shard scoring needs no ordering
@@ -274,7 +275,7 @@ func (t *TopK) Len() int { return len(t.heap) }
 // the k-th order statistic, i.e. the selection boundary — as the original
 // (un-negated) score and its ordinal. ok is false while nothing is
 // retained. A NaN score surfaces as its sunk value (-Inf for top-k, +Inf
-// for bottom-k), matching what the in-memory sort compares.
+// for bottom-k), matching what the sort-based oracle compares.
 func (t *TopK) Worst() (score float64, ord int, ok bool) {
 	if len(t.heap) == 0 {
 		return 0, 0, false
