@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
+.PHONY: all build check vet test race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
 
 all: build check
 
@@ -13,9 +13,9 @@ build:
 # campaign engine, streaming pool, quantized scoring, ask-tell
 # sessions, fleet drain), the chaos gates (fault-injection equivalence
 # and the mixed-fault race soaks, in-process and fleet), the server
-# soak, and smoke-sized runs of the streaming-pool and campaign
-# benchmarks.
-check: vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-pool-smoke bench-campaign-smoke
+# soak, a few seconds of each native fuzz target, and smoke-sized runs
+# of the streaming-pool and campaign benchmarks.
+check: vet race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (presorted vs reference builder must
@@ -32,9 +32,12 @@ train-equivalence:
 # interrupted run continued from its snapshot must be bit-identical to
 # the uninterrupted run (cold-refit and warm-update forests, the
 # snapshot JSON round trip, the pipeline-level Tune resume, and a
-# committed legacy in-memory checkpoint resumed to the golden run).
+# committed legacy in-memory checkpoint resumed to the golden run); the
+# direct forest/tree encoders must write exactly the bytes of the
+# reflective encoder they replaced; and a checkpointed forest whose
+# splits its feature schema cannot evaluate must fail to load.
 resume-equivalence:
-	go test -race -run 'TestResumeEquivalence|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestResumeLegacyInMemorySnapshot' ./internal/core ./internal/autotune ./internal/runstate
+	go test -race -run 'TestResumeEquivalence|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestResumeLegacyInMemorySnapshot|TestResumeRejectsUnpredictableModel|TestForestJSONMatchesReflectEncoder|TestTreeJSONMatchesReflectEncoder|TestForestLoadRejectsUnpredictableSplits' ./internal/core ./internal/autotune ./internal/runstate ./internal/forest ./internal/tree
 
 # campaign-equivalence gates the campaign engine: the work-stealing
 # drain must reproduce the retained sequential RunAll path bit for bit
@@ -71,10 +74,11 @@ chaos-soak:
 # the bounded top-k reducers match the sort-based oracle helpers on the
 # shared ordering-contract table, a lazily generated pool and its
 # materialized pool.Slice give the same run end to end (including resume
-# from any snapshot), and the full Tune pipeline lands on the same
-# outcome at any shard size.
+# from any snapshot), the full Tune pipeline lands on the same outcome
+# at any shard size, and a cached scan equals PredictBatch under any
+# sequence of growing and shrinking skip sets.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestTuneShardInvariance' ./internal/core ./internal/pool ./internal/forest ./internal/autotune
+	go test -race -run 'TestScanCacheSkipShrinkMatchesBatch|TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestTuneShardInvariance' ./internal/core ./internal/pool ./internal/forest ./internal/autotune
 
 # quant-equivalence gates the quantized scoring kernel against the
 # exact engine on the paper's own spaces (SPAPT atax, Kripke, Hypre):
@@ -159,6 +163,17 @@ test:
 race:
 	go test -race ./...
 
+# fuzz-smoke runs each native fuzz target for a few seconds beyond its
+# committed seed corpus: the forest decoder (no input panics Load or a
+# prediction on an accepted forest; encoding is a fixed point), the
+# quantized packing round trip and the bounded top-k reducers. A
+# crasher is written under the package's testdata/fuzz and stays there
+# as a permanent corpus entry.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzForestLoad$$' -fuzztime 5s ./internal/forest
+	go test -run '^$$' -fuzz '^FuzzQuantRoundTrip$$' -fuzztime 5s ./internal/tree
+	go test -run '^$$' -fuzz '^FuzzTopK$$' -fuzztime 5s ./internal/pool
+
 # Full benchmark sweep (every table/figure + ablations at reduced scale).
 bench:
 	go test -bench=. -benchmem -run xxx ./...
@@ -166,9 +181,11 @@ bench:
 # Training-engine benchmarks only: paper-scale tree/forest fits on the
 # presorted engine vs the retained reference builder, plus
 # BenchmarkForestFitCampaign (next to BenchmarkForestFit), the forest
-# refit sweep at the campaign's shape (atax, 32 trees, n = 10..160).
+# refit sweep at the campaign's shape (atax, 32 trees, n = 10..160), and
+# BenchmarkSnapshotEncode, the per-checkpoint encode of the fitted
+# forest at the tuned-http shape (atax, 32 trees, 60 labels).
 bench-train:
-	go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
+	go test -bench 'TreeFit|ForestFit|SnapshotEncode' -benchmem -run xxx .
 
 # Campaign-engine benchmarks: the work-stealing grid drain vs the
 # retained sequential path vs the fleet drain (coordinator + two

@@ -13,6 +13,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -752,6 +753,60 @@ func BenchmarkForestFitCampaign(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSnapshotEncode measures the checkpoint encode at the
+// tuned-http shape: the final snapshot of a PWU session on atax (pool
+// 2000, NInit 10, batch 5, NMax 60, a 32-tree forest). One op is
+// Session.Snapshot — which serializes the forest — plus the
+// json.Marshal of the snapshot that runstate.Save performs before it
+// writes, the encode work every tuned checkpoint pays.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	p, err := bench.ByName("atax")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := p.Space()
+	r := rng.New(95)
+	ev := bench.Evaluator(p, r.Split())
+	s, err := core.NewSession(core.SessionConfig{
+		Source:   pool.NewUniform(sp, 96, 2000),
+		Strategy: core.PWU{Alpha: 0.1},
+		Params:   core.Params{NInit: 10, NBatch: 5, NMax: 60, Forest: forest.Config{NumTrees: 32, Workers: 1}},
+		RNG:      r.Split(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for !s.Done() {
+		batch, err := s.Ask(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		labels := make([]core.Label, len(batch))
+		for i, c := range batch {
+			labels[i] = core.Label{Y: mustEval(b, ev, c)}
+		}
+		if _, err := s.Tell(ctx, labels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := s.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := json.Marshal(snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = len(data)
+	}
+	b.ReportMetric(float64(size), "bytes/snapshot")
 }
 
 // ---- helpers ----

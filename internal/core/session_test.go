@@ -272,3 +272,56 @@ func TestSessionPoolCachedTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRejectsUnpredictableModel: a checkpoint whose forest splits
+// on a feature the schema does not have fails ResumeSession with an
+// error. It used to load and then panic on the first prediction, inside
+// a pool scan worker where no recover can reach it.
+func TestResumeRejectsUnpredictableModel(t *testing.T) {
+	ctx := context.Background()
+	s, label := sessionFixture(t, sessionParams(), nil)
+	cold, err := s.Ask(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]Label, len(cold))
+	for i, c := range cold {
+		labels[i] = Label{Y: label(c)}
+	}
+	if _, err := s.Tell(ctx, labels); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model map[string]interface{}
+	if err := json.Unmarshal(snap.Model, &model); err != nil {
+		t.Fatal(err)
+	}
+	split := false
+	for _, tr := range model["trees"].([]interface{}) {
+		root := tr.(map[string]interface{})["root"].(map[string]interface{})
+		if _, ok := root["l"]; ok {
+			root["f"], split = 99, true
+			break
+		}
+	}
+	if !split {
+		t.Fatal("fixture forest has no split")
+	}
+	bad := *snap
+	if bad.Model, err = json.Marshal(model); err != nil {
+		t.Fatal(err)
+	}
+	cfg := SessionConfig{
+		Source:   pool.NewUniform(goldenSpace(), goldenPoolSeed, goldenPoolSize),
+		Strategy: PWU{Alpha: 0.1}, Params: sessionParams(),
+	}
+	if _, err := ResumeSession(&bad, cfg); err == nil {
+		t.Fatal("resumed a model that splits on feature 99")
+	}
+	if _, err := ResumeSession(snap, cfg); err != nil {
+		t.Fatalf("unmodified snapshot: %v", err)
+	}
+}

@@ -225,7 +225,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // snapshot captures the session's boundary state. Slices are copied so
 // the snapshot stays valid while the session keeps running.
 func (s *Session) snapshot() (*Snapshot, error) {
-	model, err := json.Marshal(s.model)
+	model, err := marshalModel(s.model)
 	if err != nil {
 		return nil, fmt.Errorf("serializing model: %w", err)
 	}
@@ -254,6 +254,17 @@ func (s *Session) snapshot() (*Snapshot, error) {
 		snap.Evaluator = &st
 	}
 	return snap, nil
+}
+
+// marshalModel serializes the surrogate for a snapshot. The default
+// forest's encoder already emits compact, valid JSON, so its bytes are
+// taken as they are; any other model goes through json.Marshal, which
+// compacts and validates its marshaler's output.
+func marshalModel(m Model) ([]byte, error) {
+	if f, ok := m.(*forest.Forest); ok {
+		return f.MarshalJSON()
+	}
+	return json.Marshal(m)
 }
 
 // defaultModelLoader is the resume model fallback, matching

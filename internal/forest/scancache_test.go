@@ -159,3 +159,76 @@ func TestUpdateRotationKeepsCacheConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCacheSkipShrinkMatchesBatch: a cached scan whose skip set
+// drops rows the last committed scan skipped must still equal
+// PredictBatch — those rows' panels were never walked for the committed
+// generations, so the cache rescores every slot. Random grow, shrink
+// and replace steps on the skip set, with partial updates in between,
+// cover both the full and a partial (budget-limited) covered prefix.
+func TestScanCacheSkipShrinkMatchesBatch(t *testing.T) {
+	for _, budget := range []int64{0, 150 * 8 * 16} {
+		f, sp, cfgs := scanFixture(t, 8)
+		cache := pool.NewScanCache(budget)
+		X := sp.EncodeAll(sp.SampleConfigs(rng.New(28), 250))
+		y := make([]float64, len(X))
+		for i, x := range X {
+			y[i] = x[0] - x[1]*x[2]
+		}
+
+		// The shape that served stale panels: skip, update, re-admit.
+		assertCachedScanMatchesBatch(t, f, sp, cfgs, cache, []int{0, 7, 13, 99, 299})
+		if err := f.Update(X, y, rng.New(29)); err != nil {
+			t.Fatal(err)
+		}
+		assertCachedScanMatchesBatch(t, f, sp, cfgs, cache, []int{7, 13})
+		if st := cache.Stats(); st.SkipShrinks != 1 || st.StaleSlots != 8 {
+			t.Fatalf("budget %d: re-admitting scan: %+v, want one shrink and every slot walked", budget, st)
+		}
+
+		r := rng.New(30)
+		in := make([]bool, len(cfgs))
+		in[7], in[13] = true, true
+		shrinks := 1
+		for step := 0; step < 40; step++ {
+			before := append([]bool(nil), in...)
+			switch r.Intn(3) {
+			case 0: // grow
+				for k := 1 + r.Intn(6); k > 0; k-- {
+					in[r.Intn(len(in))] = true
+				}
+			case 1: // shrink
+				for g := range in {
+					if in[g] && r.Intn(3) == 0 {
+						in[g] = false
+					}
+				}
+			default: // replace
+				for g := range in {
+					in[g] = r.Intn(40) == 0
+				}
+			}
+			var skip []int
+			for g, s := range in {
+				if s {
+					skip = append(skip, g)
+				}
+			}
+			for g := range in {
+				if before[g] && !in[g] {
+					shrinks++
+					break
+				}
+			}
+			if r.Intn(2) == 0 {
+				if err := f.Update(X, y, rng.New(uint64(100+step))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertCachedScanMatchesBatch(t, f, sp, cfgs, cache, skip)
+		}
+		if st := cache.Stats(); st.SkipShrinks != shrinks {
+			t.Fatalf("budget %d: %d shrinking scans counted, want %d", budget, st.SkipShrinks, shrinks)
+		}
+	}
+}

@@ -5,18 +5,25 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/space"
 	"repro/internal/tree"
 )
 
-// forestDump is the wire form of a fitted Forest. Trees are stored as
-// raw JSON messages so the tree package owns its own format.
+// forestHead is the part of a forest's wire form that precedes the
+// trees. MarshalJSON encodes it with encoding/json once per forest.
+type forestHead struct {
+	Config   Config          `json:"config"`
+	Features []space.Feature `json:"features"`
+	OOB      *float64        `json:"oob,omitempty"` // nil encodes NaN
+}
+
+// forestDump is the wire form of a fitted Forest, used to decode. Trees
+// are raw JSON messages so the tree package owns its own format.
 type forestDump struct {
-	Config   Config            `json:"config"`
-	Features []space.Feature   `json:"features"`
-	OOB      *float64          `json:"oob,omitempty"` // nil encodes NaN
-	Trees    []json.RawMessage `json:"trees"`
+	forestHead
+	Trees []json.RawMessage `json:"trees"`
 
 	// NextRefresh preserves the partial-update rotation cursor, so a
 	// reloaded forest continues warm updates exactly where the original
@@ -28,20 +35,45 @@ type forestDump struct {
 // feature schema and the training configuration — enough to reload and
 // predict on another machine, the "model portability" the paper's
 // conclusion points at.
+//
+// The document is built in one buffer: the head through encoding/json,
+// then each tree appended by its own encoder. The bytes are compact and
+// identical to encoding/json's output for forestDump, so callers embed
+// them without another compaction pass.
 func (f *Forest) MarshalJSON() ([]byte, error) {
-	d := forestDump{Config: f.cfg, Features: f.features, NextRefresh: f.nextRefresh}
+	head := forestHead{Config: f.cfg, Features: f.features}
 	if !math.IsNaN(f.oob) {
 		v := f.oob
-		d.OOB = &v
+		head.OOB = &v
 	}
-	for _, t := range f.trees {
-		raw, err := json.Marshal(t)
-		if err != nil {
+	hb, err := json.Marshal(head)
+	if err != nil {
+		return nil, err
+	}
+	// Fitted forests encode to ~65 bytes per node (keys, split and three
+	// full-precision statistics); 72 leaves headroom so the buffer rarely
+	// grows. Kept leaf targets grow it as needed.
+	size := len(hb) + 32
+	for _, c := range f.compiled {
+		size += 72 * c.NumNodes()
+	}
+	// The head's closing brace is dropped: the trees continue its object.
+	buf := append(make([]byte, 0, size), hb[:len(hb)-1]...)
+	buf = append(buf, `,"trees":[`...)
+	for i, t := range f.trees {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if buf, err = t.AppendJSON(buf); err != nil {
 			return nil, err
 		}
-		d.Trees = append(d.Trees, raw)
 	}
-	return json.Marshal(d)
+	buf = append(buf, ']')
+	if f.nextRefresh != 0 {
+		buf = append(buf, `,"next_refresh":`...)
+		buf = strconv.AppendInt(buf, int64(f.nextRefresh), 10)
+	}
+	return append(buf, '}'), nil
 }
 
 // UnmarshalJSON decodes a forest serialized by MarshalJSON.
@@ -55,6 +87,9 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 	}
 	if len(d.Features) == 0 {
 		return fmt.Errorf("forest: dump has no feature schema")
+	}
+	if d.NextRefresh < 0 {
+		return fmt.Errorf("forest: negative next_refresh %d", d.NextRefresh)
 	}
 	trees := make([]*tree.Regressor, len(d.Trees))
 	for i, raw := range d.Trees {
@@ -82,7 +117,7 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 
 // Save writes the forest as JSON to w.
 func (f *Forest) Save(w io.Writer) error {
-	data, err := json.Marshal(f)
+	data, err := f.MarshalJSON()
 	if err != nil {
 		return err
 	}

@@ -132,3 +132,60 @@ func TestReloadedForestUpdatable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForestLoadRejectsUnpredictableSplits: a split the feature schema
+// cannot evaluate must fail Load, not the first prediction after it. A
+// split on feature 99 of a 7-feature schema used to load and then panic
+// with an index out of range inside a scoring worker.
+func TestForestLoadRejectsUnpredictableSplits(t *testing.T) {
+	X, y := friedman(rng.New(8), 60)
+	f, err := Fit(X, y, numFeatures(7), Config{NumTrees: 3}, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := f.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(good, []byte(`"f":`)) {
+		t.Fatal("fixture forest has no split on a non-zero feature")
+	}
+	outOfSchema := bytes.Replace(good, []byte(`"f":`), []byte(`"f":99,"x":`), 1)
+	if _, err := Load(bytes.NewReader(outOfSchema)); err == nil || !strings.Contains(err.Error(), "feature 99") {
+		t.Fatalf("split on feature 99 of 7: err = %v", err)
+	}
+
+	const schema = `"features":[{"Name":"x","Kind":0},{"Name":"c","Kind":1,"NumCategories":3}]`
+	leaf := `{"m":1,"v":0,"n":1}`
+	doc := func(root string) string {
+		return `{"config":{},` + schema + `,"trees":[{"config":{},"root":` + root + `}]}`
+	}
+	split := func(fields string) string {
+		return `{` + fields + `,"l":` + leaf + `,"r":` + leaf + `,"m":1,"v":0,"n":2}`
+	}
+	for _, ok := range []string{
+		split(`"t":0.5`),
+		split(`"f":1,"cl":[0,2],"nc":3`),
+		split(`"f":1,"nc":3`),
+	} {
+		if _, err := Load(strings.NewReader(doc(ok))); err != nil {
+			t.Fatalf("valid split %s rejected: %v", ok, err)
+		}
+	}
+	for name, bad := range map[string]string{
+		"feature past the schema":        doc(split(`"f":2,"t":0.5`)),
+		"negative feature":               doc(split(`"f":-1,"t":0.5`)),
+		"categorical split on numeric":   doc(split(`"cl":[1],"nc":3`)),
+		"numeric split on categorical":   doc(split(`"f":1,"t":0.5`)),
+		"bitmap narrower than feature":   doc(split(`"f":1,"cl":[1],"nc":2`)),
+		"bitmap wider than feature":      doc(split(`"f":1,"cl":[1],"nc":4`)),
+		"negative leaf count":            doc(`{"m":1,"v":0,"n":-1}`),
+		"negative internal count":        doc(`{"t":0.5,"l":` + leaf + `,"r":` + leaf + `,"m":1,"v":0,"n":-2}`),
+		"negative update cursor":         `{"config":{},` + schema + `,"trees":[{"config":{},"root":` + leaf + `}],"next_refresh":-1}`,
+		"bitmap beyond the load maximum": `{"config":{},"features":[{"Name":"c","Kind":1,"NumCategories":1000000}],"trees":[{"config":{},"root":` + `{"nc":1000000,"l":` + leaf + `,"r":` + leaf + `,"m":1,"v":0,"n":2}}]}`,
+	} {
+		if _, err := Load(strings.NewReader(bad)); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+}

@@ -54,6 +54,11 @@ type CacheStats struct {
 	// CachedRows is the covered prefix length of the most recent scan:
 	// candidates at global index < CachedRows hit the panel path.
 	CachedRows int
+
+	// SkipShrinks counts scans whose Skip set was not a superset of the
+	// last committed scan's. Rows that scan skipped have stale panels,
+	// so each such scan re-walked every slot of every cached row.
+	SkipShrinks int
 }
 
 // ScanCache holds score panels across Scans. One cache serves one
@@ -72,6 +77,7 @@ type ScanCache struct {
 	mu    sync.Mutex
 	ident interface{}
 	gens  []uint64 // committed generation snapshot; nil until first commit
+	skip  []int    // the committed scan's Skip set, whose rows it left unwalked
 	rows  int
 	slots int
 	mean  [][]float64
@@ -104,11 +110,15 @@ type scanPlan struct {
 	rows  int   // cached prefix: globals < rows take the panel path
 	stale []int // slots to rescore for cached rows (ascending)
 	gens  []uint64
+	skip  []int // this scan's Skip set, committed with gens
 }
 
 // begin prepares the cache for a scan over poolLen candidates scored by
-// sc, resetting it when the scorer identity or panel shape changed.
-func (c *ScanCache) begin(sc SlotScorer, poolLen int) *scanPlan {
+// sc that skips the ascending global indices skip, resetting it when the
+// scorer identity or panel shape changed. A skip set that re-admits a
+// row the committed scan skipped makes every slot stale: that row's
+// panels were never walked for the committed generations.
+func (c *ScanCache) begin(sc SlotScorer, poolLen int, skip []int) *scanPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	slots := sc.NumSlots()
@@ -130,8 +140,12 @@ func (c *ScanCache) begin(sc SlotScorer, poolLen int) *scanPlan {
 		c.stats.Resets++
 	}
 	gens := sc.SlotGens()
+	shrunk := c.gens != nil && !supersetOf(skip, c.skip)
+	if shrunk {
+		c.stats.SkipShrinks++
+	}
 	var stale []int
-	if c.gens == nil {
+	if c.gens == nil || shrunk {
 		stale = make([]int, slots)
 		for t := range stale {
 			stale[t] = t
@@ -145,17 +159,34 @@ func (c *ScanCache) begin(sc SlotScorer, poolLen int) *scanPlan {
 	}
 	c.stats.StaleSlots = len(stale)
 	c.stats.CachedRows = rows
-	return &scanPlan{cache: c, sc: sc, rows: rows, stale: stale, gens: gens}
+	return &scanPlan{cache: c, sc: sc, rows: rows, stale: stale, gens: gens, skip: skip}
 }
 
-// commit records the scan's generation snapshot after every covered row
-// had its stale slots re-walked. An aborted scan never commits: its
-// partial panel writes are harmless (the stale slots stay stale against
-// the last committed snapshot and are re-walked in full next scan).
+// supersetOf reports whether the ascending set a contains every element
+// of the ascending set b.
+func supersetOf(a, b []int) bool {
+	i := 0
+	for _, v := range b {
+		for i < len(a) && a[i] < v {
+			i++
+		}
+		if i == len(a) || a[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// commit records the scan's generation snapshot and skip set after
+// every covered row had its stale slots re-walked. An aborted scan never
+// commits: its partial panel writes are harmless (the stale slots stay
+// stale against the last committed snapshot and are re-walked in full
+// next scan).
 func (p *scanPlan) commit() {
 	c := p.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens = p.gens
+	c.skip = append(c.skip[:0], p.skip...)
 	c.stats.Scans++
 }

@@ -37,8 +37,10 @@ type ScanConfig struct {
 	// Skip lists global candidate indices to omit (ascending, unique) —
 	// the engine's already-labeled configurations. Ordinals passed to the
 	// consumer are ranks among the non-skipped candidates in source
-	// order. With a Cache, Skip may only grow between scans: a row
-	// skipped by the scan that last committed has stale panels.
+	// order. With a Cache, Skip is expected to grow between scans (the
+	// engine's labeled set only grows): a scan that re-admits a row the
+	// last committed scan skipped re-walks every slot of every cached
+	// row, counted in CacheStats.SkipShrinks.
 	Skip []int
 
 	// Cache, when non-nil, reuses per-slot score panels across scans
@@ -104,7 +106,7 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 		if !ok {
 			return fmt.Errorf("pool: ScanConfig.Cache requires a SlotScorer, got %T", sc)
 		}
-		plan = cfg.Cache.begin(ss, src.Len())
+		plan = cfg.Cache.begin(ss, src.Len(), skip)
 	}
 
 	newBuf := func() *shardBuf {
